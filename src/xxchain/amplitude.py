@@ -20,11 +20,10 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from .asymptotics import AsymptoticParams
 from .errors import DomainError
-from .exact import log_r_table, r_value
+from .exact import log_r_table
 from .greens import INFINITE
 from .special import polygamma, zeta_em
 
@@ -116,6 +115,8 @@ def lukyanov_integral() -> float:
     (0, 1e-3] from the Taylor expansion, adaptive quadrature split at t = 1,
     hard tail cut at t = 40 where both pieces are < 1e-36.
     """
+    from scipy.integrate import quad  # deferred: scipy costs ~0.3 s to import
+
     t0 = 1e-3
     head = (
         -4.0 * t0
@@ -234,11 +235,13 @@ def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsRepo
         raise DomainError(f"x_fit_max must be an integer >= 1000, got {x_fit_max!r}")
 
     integral = lukyanov_integral()
+    # one table serves the ln B fit (N <= n_fit) and the subleading fit (x <= x_fit_max)
+    table = log_r_table(max(n_fit, x_fit_max // 2), INFINITE)
     ln_b = {
         "series": _richardson_limit(log_r_series, n_fit),
         "integral": 0.25 * integral,
         "gamma_product": _richardson_limit(log_r_gamma_product, n_fit),
-        "fit": _richardson_limit(lambda n: r_value(n, INFINITE).log_abs, n_fit),
+        "fit": _richardson_limit(lambda n: float(table[n]), n_fit),
     }
     vals = list(ln_b.values())
     pairwise = max(abs(a - b) for a in vals for b in vals)
@@ -251,7 +254,6 @@ def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsRepo
 
     # least-squares slope of (exact - leading) against x^(-5/2), even x
     xs = np.arange(20, x_fit_max + 1, 2)
-    table = log_r_table(int(xs[-1]) // 2, INFINITE)
     exact = 0.5 * np.exp(2.0 * table[xs // 2])
     leading = (c0 / math.sqrt(math.pi)) * xs**-0.5
     basis = xs**-2.5

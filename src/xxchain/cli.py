@@ -7,16 +7,14 @@ beyond tolerance, or the constants routes spread too far), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import os
 import sys
 
 from . import __version__
 from .amplitude import amplitude_report, asymptotic_params
 from .asymptotics import asym_finite, asym_infinite
-from .ed import MAX_ED_LENGTH, ed_correlator, ed_ground_state
+from .ed import MAX_ED_LENGTH, ed_correlator
 from .errors import DomainError, SizeError
-from .exact import correlator, correlator_det
+from .exact import MAX_DET_SIZE, correlator, correlator_det, correlator_sweep
 from .greens import INFINITE, LatticeSpec
 from .tables import (
     ComparisonRow,
@@ -64,13 +62,13 @@ def _next_admissible(L: int) -> int:
     return L
 
 
-def _row_values(x, lattice, routes, params):
+def _row_values(x, lattice, routes, params, product):
     values = {}
     for name in routes:
         if name == "det":
             values[name] = correlator_det(x, lattice)
         elif name == "product":
-            values[name] = correlator(x, lattice).value
+            values[name] = float(product[x - 1])
         elif name == "ed":
             values[name] = ed_correlator(lattice.length, x)
         elif name == "asym":
@@ -103,6 +101,8 @@ def cmd_correlator(args, parser) -> int:
     x_max = args.x_max
     if x_max < 1 or (lattice.is_finite and x_max > lattice.length - 1):
         parser.error(f"--x-max must lie in [1, L-1], got {x_max}")
+    if "det" in routes and x_max > MAX_DET_SIZE:
+        parser.error(f"--x-max {x_max} exceeds the det route's guard {MAX_DET_SIZE}")
 
     warnings = []
     if "ed" in routes and (not lattice.is_finite or lattice.length > MAX_ED_LENGTH):
@@ -111,14 +111,13 @@ def cmd_correlator(args, parser) -> int:
         print(f"warning: {warnings[-1]}", file=sys.stderr)
     if not routes:
         parser.error("no usable routes left")
+    if "product" in routes and lattice.is_finite and x_max == lattice.length - 1:
+        warnings.append(f"product at x={x_max} is the det route: the sine product stops at x = L-2")
+        print(f"warning: {warnings[-1]}", file=sys.stderr)
 
     params = asymptotic_params() if "asym" in routes else None
-    if "ed" in routes:
-        ed_ground_state(lattice.length)  # diagonalize once, outside the pool
-
-    workers = min(8, os.cpu_count() or 1)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda x: _row_values(x, lattice, routes, params), range(1, x_max + 1)))
+    product = correlator_sweep(x_max, lattice) if "product" in routes else None
+    rows = [_row_values(x, lattice, routes, params, product) for x in range(1, x_max + 1)]
 
     meta = base_meta(
         __version__,

@@ -14,9 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import DomainError, SizeError
 
@@ -83,6 +80,8 @@ def spin_sector(L: int, allow_even_m: bool = False) -> SpinSector:
 
 def _hamiltonian(sector: SpinSector) -> scipy.sparse.csr_matrix:
     # hop amplitude +1 for each flippable bond, periodic closure included
+    import scipy.sparse  # deferred, like every scipy import: it costs ~0.3 s
+
     L, basis = sector.L, sector.basis
     rows, cols = [], []
     for i in range(L):
@@ -101,6 +100,9 @@ def _hamiltonian(sector: SpinSector) -> scipy.sparse.csr_matrix:
 @functools.lru_cache(maxsize=None)
 def _lowest_pair(L: int, allow_even_m: bool = False):
     """Two lowest eigenvalues and the ground-state vector in the sector."""
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     sector = spin_sector(L, allow_even_m)
     H = _hamiltonian(sector)
     if sector.dimension <= _DENSE_DIM_LIMIT:

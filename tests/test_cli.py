@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 
+import xxchain
+from xxchain import cli
 from xxchain.cli import check_exact_agreement, main
 from xxchain.tables import ComparisonRow, RouteComparison, comparison_from_csv
 
@@ -151,3 +156,35 @@ def test_finite_size_x_frac_validation(capsys):
 def test_finite_size_bad_list(capsys):
     code, _, _ = run(["finite-size", "--L-list", "a,b"], capsys)
     assert code == 2
+
+
+def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "correlator_det", no_work)
+    code, out, err = run(["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"], capsys)
+    assert code == 2
+    assert "4096" in err
+    assert out == ""
+
+
+def test_product_det_fallback_is_reported(capsys):
+    argv = ["correlator", "--L", "10", "--routes", "product", "--format", "json", "--x-max"]
+    code, out, err = run(argv + ["9"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert any("x=9" in w and "det" in w for w in doc["meta"]["warnings"])
+    assert "x=9" in err
+    assert isinstance(doc["rows"][-1]["values"]["product"], float)
+    code, out, err = run(argv + ["8"], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["warnings"] == []
+    assert err == ""
+
+
+def test_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(xxchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, xxchain; sys.exit(int('scipy' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
