@@ -14,7 +14,7 @@ from .amplitude import amplitude_report, asymptotic_params
 from .asymptotics import asym_finite, asym_infinite
 from .ed import MAX_ED_LENGTH, ed_correlator
 from .errors import DomainError, SizeError
-from .exact import MAX_DET_SIZE, correlator, correlator_det, correlator_sweep
+from .exact import MAX_DET_SIZE, MAX_RING_LENGTH, correlator, correlator_det_sweep, correlator_sweep
 from .greens import INFINITE, LatticeSpec
 from .tables import (
     ComparisonRow,
@@ -57,18 +57,15 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _next_admissible(L: int) -> int:
-    while L % 4 != 2 or L < 6:
-        L += 1
-    return L
+    L = max(L, 6)
+    return L + (2 - L) % 4
 
 
-def _row_values(x, lattice, routes, params, product):
+def _row_values(x, lattice, routes, params, columns):
     values = {}
     for name in routes:
-        if name == "det":
-            values[name] = correlator_det(x, lattice)
-        elif name == "product":
-            values[name] = float(product[x - 1])
+        if name in columns:
+            values[name] = float(columns[name][x - 1])
         elif name == "ed":
             values[name] = ed_correlator(lattice.length, x)
         elif name == "asym":
@@ -85,7 +82,8 @@ def check_exact_agreement(table: RouteComparison, tol: float = AGREEMENT_TOL) ->
     for row in table.rows:
         for pair, err in row.rel_errs.items():
             a, b = pair.split("-")
-            if a in EXACT_ROUTES and b in EXACT_ROUTES and err > tol:
+            # NaN compares false against everything, so test for agreement
+            if a in EXACT_ROUTES and b in EXACT_ROUTES and not err <= tol:
                 bad.append(f"x={row.x} {pair} relerr={err:.3e}")
     return bad
 
@@ -116,8 +114,12 @@ def cmd_correlator(args, parser) -> int:
         print(f"warning: {warnings[-1]}", file=sys.stderr)
 
     params = asymptotic_params() if "asym" in routes else None
-    product = correlator_sweep(x_max, lattice) if "product" in routes else None
-    rows = [_row_values(x, lattice, routes, params, product) for x in range(1, x_max + 1)]
+    columns = {}
+    if "det" in routes:
+        columns["det"] = correlator_det_sweep(x_max, lattice)
+    if "product" in routes:
+        columns["product"] = correlator_sweep(x_max, lattice)
+    rows = [_row_values(x, lattice, routes, params, columns) for x in range(1, x_max + 1)]
 
     meta = base_meta(
         __version__,
@@ -166,13 +168,14 @@ def cmd_finite_size(args, parser) -> int:
     if not 0.0 < args.x_frac < 1.0:
         parser.error(f"--x-frac must lie strictly inside (0, 1), got {args.x_frac}")
 
+    lengths = [_next_admissible(L_req) for L_req in requested]
+    if max(lengths) > MAX_RING_LENGTH:
+        parser.error(f"--L-list entry {max(lengths)} exceeds the ring-length guard {MAX_RING_LENGTH}")
+
     params = asymptotic_params()
-    adjustments = []
+    adjustments = [f"{L_req}->{L}" for L_req, L in zip(requested, lengths) if L != L_req]
     rows = []
-    for L_req in requested:
-        L = _next_admissible(L_req)
-        if L != L_req:
-            adjustments.append(f"{L_req}->{L}")
+    for L in lengths:
         x = min(max(int(round(args.x_frac * L)), 1), L - 1)
         lattice = LatticeSpec.finite(L)
         exact = correlator(x, lattice).value

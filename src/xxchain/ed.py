@@ -29,6 +29,8 @@ __all__ = [
 MAX_ED_LENGTH = 18
 # above this sector dimension the extremal eigenpair is found iteratively
 _DENSE_DIM_LIMIT = 1000
+# number of set bits in each byte value
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,11 @@ def spin_sector(L: int, allow_even_m: bool = False) -> SpinSector:
     """
     _check_length(L, allow_even_m)
     M = L // 2
-    basis = np.array([s for s in range(1 << L) if bin(s).count("1") == M], dtype=np.int64)
+    states = np.arange(1 << L, dtype=np.int64)
+    ups = np.zeros(len(states), dtype=np.uint8)
+    for shift in range(0, L, 8):
+        ups += _POPCOUNT8[(states >> shift) & 0xFF]
+    basis = states[ups == M]
     assert len(basis) == math.comb(L, M)
     basis.setflags(write=False)
     return SpinSector(L=L, M=M, basis=basis)

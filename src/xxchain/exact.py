@@ -1,9 +1,12 @@
 """Exact spin-spin correlator G(x) = <sigma^+_{i+x} sigma^-_i> by two routes.
 
 Route one is the full x-by-x Wick determinant built from the free-fermion
-contraction kernel.  Route two evaluates the reduced N-by-N Cauchy
-determinant R_N in closed form as a product of sines, accumulated entirely
-in log space, and assembles
+contraction kernel.  Each x-by-x matrix is the leading block of one X-by-X
+Toeplitz kernel, so :func:`correlator_det_sweep` gets every G(x), x <= X,
+from the pivots of a single elimination without pivoting; the per-x
+pivoted LU of :func:`correlator_det` is its oracle.  Route two evaluates
+the reduced N-by-N Cauchy determinant R_N in closed form as a product of
+sines, accumulated entirely in log space, and assembles
 
     G(2N)   = +1/2 R_N^2
     G(2N+1) = -1/2 R_N R_{N+1},       R_0 = 1.
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .greens import INFINITE, LatticeSpec, g0
+from .greens import INFINITE, LatticeSpec
 
 __all__ = [
     "Route",
@@ -30,15 +33,22 @@ __all__ = [
     "LogProduct",
     "correlator",
     "correlator_det",
+    "correlator_det_sweep",
     "correlator_sweep",
     "r_det",
     "r_value",
     "log_r_table",
     "MAX_DET_SIZE",
+    "MAX_RING_LENGTH",
 ]
 
 # Largest dense determinant we are willing to factorize.
 MAX_DET_SIZE = 4096
+# Largest ring the CLI's finite-size command evaluates; its log R_N table
+# holds about L/4 longdouble rows, so time and memory grow linearly in L.
+MAX_RING_LENGTH = 10_000_000
+# Below this many columns the no-pivot elimination runs rank-1 updates.
+_LU_LEAF = 32
 
 
 class Route(enum.Enum):
@@ -76,6 +86,39 @@ def _check_distance(x: int, lattice: LatticeSpec) -> None:
         raise DomainError(f"x must be <= L-1 = {lattice.length - 1}, got {x}")
 
 
+def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
+    """The contraction kernel 2 G0(d) at odd d and 0 at even d, for integer d in (-L, L).
+
+    Vectorised :func:`xxchain.greens.g0` with the same folding: on a ring
+    |d| is folded into [0, L/2] through g0(L - d) = g0(d), so every sine is
+    taken at an argument <= pi/2.  The even entries, the diagonal d = 0
+    included, are zero because the density term cancels 2 G0(0) = 1.
+    """
+    n = np.abs(d)
+    if lattice.is_finite:
+        L = lattice.length
+        n = np.where(n > L // 2, L - n, n)
+    odd = n % 2 == 1
+    m = n[odd]
+    denom = L * np.sin(np.pi * m / L) if lattice.is_finite else np.pi * m
+    out = np.zeros(np.shape(d))
+    out[odd] = 2.0 * (np.where(m % 4 == 1, 1.0, -1.0) / denom)
+    return out
+
+
+def _wick_matrix(x: int, lattice: LatticeSpec) -> np.ndarray:
+    """The x-by-x Toeplitz matrix A[i, j] = k(i-j-1) of :func:`_wick_kernel`."""
+    # kernel values over the distinct arguments i - j - 1 in [-x, x-2]
+    vals = _wick_kernel(np.arange(-x, x - 1), lattice)
+    i = np.arange(x)
+    return vals[i[:, None] - i[None, :] + x - 1]
+
+
+def _check_det_size(x: int) -> None:
+    if x > MAX_DET_SIZE:
+        raise SizeError(f"x={x} exceeds the dense-determinant guard {MAX_DET_SIZE}")
+
+
 def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     """G(x) from the x-by-x Wick determinant, via LU with partial pivoting.
 
@@ -83,20 +126,55 @@ def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     half filling is 2 G0(i-j) for odd i-j and exactly zero for even i-j
     (including the diagonal argument 0, where the density term cancels
     2 G0(0) = 1).  The overall factor (-1)^x / 2 converts the determinant
-    over the plain sine kernel to the physical staggered correlator.
+    over the plain sine kernel to the physical staggered correlator.  This
+    scalar form is the test oracle for :func:`correlator_det_sweep`.
     """
     _check_distance(x, lattice)
-    if x > MAX_DET_SIZE:
-        raise SizeError(f"x={x} exceeds the dense-determinant guard {MAX_DET_SIZE}")
-    # kernel values over the distinct arguments d = i - j - 1 in [-x, x-2]
-    vals = np.zeros(2 * x - 1)
-    for d in range(-x, x - 1):
-        if d % 2 != 0:
-            vals[d + x] = 2.0 * g0(d, lattice)
-    i = np.arange(1, x + 1)
-    mat = vals[(i[:, None] - i[None, :] - 1) + x]
+    _check_det_size(x)
     sign = 1.0 if x % 2 == 0 else -1.0
-    return 0.5 * sign * float(np.linalg.det(mat))
+    return 0.5 * sign * float(np.linalg.det(_wick_matrix(x, lattice)))
+
+
+def _lu_in_place(a: np.ndarray) -> None:
+    """Overwrite a (m-by-n, m >= n) with L (unit lower, below the diagonal) and U.
+
+    Elimination without pivoting, by recursive column split: factor the left
+    half, solve the unit-lower L11 for U12, subtract L21 U12 from the trailing
+    block and factor it.  Needs only numpy; scipy.linalg would cost ~0.3 s
+    to import.
+    """
+    n = a.shape[1]
+    if n <= _LU_LEAF:
+        for k in range(n):
+            a[k + 1:, k] /= a[k, k]
+            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
+        return
+    h = n // 2
+    _lu_in_place(a[:, :h])
+    l11 = np.tril(a[:h, :h], -1) + np.eye(h)
+    a[:h, h:] = np.linalg.solve(l11, a[:h, h:])
+    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
+    _lu_in_place(a[h:, h:])
+
+
+def correlator_det_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
+    """G(x) for x = 1..x_max from one elimination of the x_max-by-x_max Wick matrix.
+
+    Each x-by-x Wick matrix of :func:`correlator_det` is the leading block of
+    the largest one, and its determinant, (-1)^x 2 G(x) = 2 |G(x)|, is
+    positive, so LU without pivoting exists and its pivots are the ratios of
+    successive leading minors.  G(x) is (-1)^x / 2 times the running product
+    of the first x pivots.  Every partial product is such a minor, in (0, 1],
+    so it can neither overflow nor underflow.  O(x_max^3) for all x at once,
+    against O(x_max^4) for per-x LU; no sine product is involved, so this
+    stays independent of :func:`correlator_sweep`.
+    """
+    _check_distance(x_max, lattice)
+    _check_det_size(x_max)
+    a = _wick_matrix(x_max, lattice)
+    _lu_in_place(a)
+    x = np.arange(1, x_max + 1)
+    return np.where(x % 2, -0.5, 0.5) * np.cumprod(np.diagonal(a))
 
 
 def _check_r_range(N: int, lattice: LatticeSpec) -> None:
@@ -119,9 +197,8 @@ def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
     _check_r_range(N, lattice)
     if N > MAX_DET_SIZE // 2:
         raise SizeError(f"N={N} exceeds the dense-determinant guard {MAX_DET_SIZE // 2}")
-    vals = np.empty(2 * N - 1)
-    for d in range(-(N - 1), N):
-        vals[d + N - 1] = (-1.0 if d % 2 else 1.0) * 2.0 * g0(2 * d - 1, lattice)
+    d = np.arange(-(N - 1), N)
+    vals = np.where(d % 2, -1.0, 1.0) * _wick_kernel(2 * d - 1, lattice)
     i = np.arange(N)
     mat = vals[(i[:, None] - i[None, :]) + N - 1]
     return float(np.linalg.det(mat))

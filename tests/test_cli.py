@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import xxchain
 from xxchain import cli
 from xxchain.cli import check_exact_agreement, main
+from xxchain.exact import MAX_RING_LENGTH
 from xxchain.tables import ComparisonRow, RouteComparison, comparison_from_csv
 
 
@@ -109,6 +111,13 @@ def test_exact_agreement_gate_trips_on_corrupt_table():
     assert not check_exact_agreement(table)  # asym pairs are never gated
 
 
+def test_exact_agreement_gate_trips_on_non_finite_values():
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = [ComparisonRow(x=1, values={"det": bad, "product": -0.318})]
+        table = RouteComparison(lattice="inf", routes=["det", "product"], rows=rows)
+        assert check_exact_agreement(table), bad
+
+
 def test_constants_flag_validation(capsys):
     code, _, _ = run(["constants", "--n-fit", "100"], capsys)
     assert code == 2
@@ -158,11 +167,29 @@ def test_finite_size_bad_list(capsys):
     assert code == 2
 
 
+def test_finite_size_length_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "correlator", no_work)
+    monkeypatch.setattr(cli, "asymptotic_params", no_work)
+    code, out, err = run(["finite-size", "--L-list", "258,1000000000"], capsys)
+    assert code == 2
+    assert str(MAX_RING_LENGTH) in err
+    assert out == ""
+
+
+def test_finite_size_huge_negative_length_adjusts_at_once(capsys):
+    code, out, _ = run(["finite-size", "--L-list", "-1000000000", "--format", "json"], capsys)
+    assert code == 0
+    assert [row["L"] for row in json.loads(out)["rows"]] == [6]
+
+
 def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(cli, "correlator_det", no_work)
+    monkeypatch.setattr(cli, "correlator_det_sweep", no_work)
     code, out, err = run(["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"], capsys)
     assert code == 2
     assert "4096" in err
@@ -188,3 +215,13 @@ def test_import_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, xxchain; sys.exit(int('scipy' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(xxchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
+            "--out", str(tmp_path / "table.csv")]
+    probe = f"import sys; from xxchain.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr

@@ -25,6 +25,15 @@ def test_sector_shape():
     assert np.all(np.diff(sec.basis) > 0)
 
 
+@pytest.mark.parametrize("L", [6, 8, 12, 14, 18])
+def test_sector_basis_equals_loop_build(L):
+    # the Python loop over 2^L that the vectorised popcount replaced
+    loop = np.array([s for s in range(1 << L) if bin(s).count("1") == L // 2], dtype=np.int64)
+    basis = spin_sector(L, allow_even_m=L % 4 == 0).basis
+    assert basis.dtype == loop.dtype
+    assert np.array_equal(basis, loop)
+
+
 def test_ground_energy_small_ring():
     energy, psi = ed_ground_state(6)
     assert energy == pytest.approx(-4.0, abs=1e-11)

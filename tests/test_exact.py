@@ -16,7 +16,9 @@ from xxchain import (
     r_det,
     r_value,
 )
-from xxchain.exact import correlator_sweep
+from xxchain import exact
+from xxchain.exact import MAX_DET_SIZE, _wick_kernel, correlator_det_sweep, correlator_sweep
+from xxchain.greens import g0
 
 PI = math.pi
 
@@ -192,3 +194,65 @@ def test_correlator_sweep_matches_correlator(lat, x_max):
         assert rel(sweep[x - 1], correlator(x, lat).value) <= 1e-14, x
     expected = Route.DET if lat.is_finite else Route.PRODUCT
     assert correlator(x_max, lat).route is expected
+
+
+@pytest.mark.parametrize("lat, d_max", [
+    (LatticeSpec.finite(6), 6),
+    (LatticeSpec.finite(10), 10),
+    (LatticeSpec.finite(62), 62),
+    (LatticeSpec.finite(1202), 1202),
+    (INFINITE, 5000),
+])
+def test_wick_kernel_equals_scalar_g0(lat, d_max):
+    d = np.arange(-d_max + 1, d_max)
+    scalar = [2.0 * g0(int(v), lat) if v % 2 else 0.0 for v in d]
+    np.testing.assert_allclose(_wick_kernel(d, lat), scalar, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("lat, x_max", [
+    *[(LatticeSpec.finite(L), L - 1) for L in range(6, 63, 4)],
+    (INFINITE, 300),
+])
+def test_det_sweep_matches_per_x_det(lat, x_max):
+    sweep = correlator_det_sweep(x_max, lat)
+    assert sweep.shape == (x_max,)
+    for x in range(1, x_max + 1):
+        assert rel(sweep[x - 1], correlator_det(x, lat)) <= 1e-12, x
+
+
+@pytest.mark.parametrize("L", [1102, None])
+def test_det_sweep_against_mpmath(L):
+    mp = pytest.importorskip("mpmath")
+    x_max = 450
+    lat = INFINITE if L is None else LatticeSpec.finite(L)
+    log_r = _mp_log_r(x_max // 2 + 1, L, mp)
+    sweep = correlator_det_sweep(x_max, lat)
+    with mp.workdps(30):
+        worst = 0.0
+        for x in range(1, x_max + 1):
+            N = x // 2
+            ref = mp.exp(2 * log_r[N]) / 2 if x % 2 == 0 else -mp.exp(log_r[N] + log_r[N + 1]) / 2
+            worst = max(worst, float(abs(mp.mpf(float(sweep[x - 1])) / ref - 1)))
+    assert worst <= 1e-13  # 4.8e-14 on L = 1102 and 3.0e-14 on the infinite chain measured
+
+
+def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
+    cases = [(61, LatticeSpec.finite(62)), (200, INFINITE)]
+    expected = [correlator_det_sweep(x_max, lat) for x_max, lat in cases]
+
+    def forbidden(*args):
+        raise AssertionError("the det sweep reached the sine product")
+
+    monkeypatch.setattr(exact, "_log_factors", forbidden)
+    monkeypatch.setattr(exact, "log_r_table", forbidden)
+    for (x_max, lat), values in zip(cases, expected):
+        np.testing.assert_array_equal(correlator_det_sweep(x_max, lat), values)
+
+
+def test_det_sweep_guards():
+    with pytest.raises(SizeError):
+        correlator_det_sweep(MAX_DET_SIZE + 1, INFINITE)
+    with pytest.raises(DomainError):
+        correlator_det_sweep(0, INFINITE)
+    with pytest.raises(DomainError):
+        correlator_det_sweep(10, LatticeSpec.finite(10))
