@@ -104,31 +104,32 @@ def log_r_series(N: int) -> float:
     return _first_term() + math.fsum(parts)
 
 
-def _integrand(t: float) -> float:
-    return (math.exp(-4.0 * t) - 1.0 / math.cosh(t) ** 2) / t
+# Gauss-Legendre panels for the integral, geometric up to the cut at t = 40,
+# past which both terms of the integrand are below 1e-34
+_PANEL_EDGES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0)
+_PANEL_NODES = 32
+
+
+def _integrand(t):
+    # e^(-4t) - sech^2 t = expm1(-4t) + tanh^2 t, without the cancellation near t = 0
+    return (np.expm1(-4.0 * t) + np.tanh(t) ** 2) / t
 
 
 def lukyanov_integral() -> float:
     """I = int_0^inf dt/t (e^(-4t) - sech^2 t); ln B = I/4.
 
-    The integrand extends continuously to t = 0 with value -4.  Head on
-    (0, 1e-3] from the Taylor expansion, adaptive quadrature split at t = 1,
-    hard tail cut at t = 40 where both pieces are < 1e-36.
+    Composite Gauss-Legendre rule, numpy only: 32 points on each of the
+    panels [0, 1/2, 1, 2, 4, 8, 16, 40].  The integrand is evaluated as
+    (expm1(-4t) + tanh^2 t) / t, which has no cancellation as t -> 0 (its
+    limit there is -4), so it needs no Taylor head and no split at t = 1.
+    Against mpmath at 40 digits the error is 1.6e-16 with 32 nodes (5.1e-16
+    with 24, 1.8e-12 with 8).
     """
-    from scipy.integrate import quad  # deferred: scipy costs ~0.3 s to import
-
-    t0 = 1e-3
-    head = (
-        -4.0 * t0
-        + 4.5 * t0**2
-        - (32.0 / 9.0) * t0**3
-        + 2.5 * t0**4
-        - (128.0 / 75.0) * t0**5
-        + (91.0 / 90.0) * t0**6
-    )
-    mid, _ = quad(_integrand, t0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    tail, _ = quad(_integrand, 1.0, 40.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return head + mid + tail
+    x, w = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = np.array(_PANEL_EDGES)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = (edges[:-1, None] + half) + half * x
+    return float(np.sum(half * w * _integrand(t)))
 
 
 def log_r_gamma_product(N: int) -> float:

@@ -12,7 +12,7 @@ import sys
 from . import __version__
 from .amplitude import amplitude_report, asymptotic_params
 from .asymptotics import asym_finite, asym_infinite
-from .ed import MAX_ED_LENGTH, ed_correlator
+from .ed import MAX_ED_LENGTH, ed_correlator_sweep
 from .errors import DomainError, SizeError
 from .exact import MAX_DET_SIZE, MAX_RING_LENGTH, correlator, correlator_det_sweep, correlator_sweep
 from .greens import INFINITE, LatticeSpec
@@ -66,8 +66,6 @@ def _row_values(x, lattice, routes, params, columns):
     for name in routes:
         if name in columns:
             values[name] = float(columns[name][x - 1])
-        elif name == "ed":
-            values[name] = ed_correlator(lattice.length, x)
         elif name == "asym":
             if lattice.is_finite:
                 values[name] = asym_finite(x, lattice.length, params)
@@ -101,6 +99,10 @@ def cmd_correlator(args, parser) -> int:
         parser.error(f"--x-max must lie in [1, L-1], got {x_max}")
     if "det" in routes and x_max > MAX_DET_SIZE:
         parser.error(f"--x-max {x_max} exceeds the det route's guard {MAX_DET_SIZE}")
+    # the sine product stops at x = L-2; the product cell at x = L-1 is a Wick determinant
+    fallback = "product" in routes and lattice.is_finite and x_max == lattice.length - 1
+    if fallback and x_max > MAX_DET_SIZE:
+        parser.error(f"--x-max {x_max} = L-1 needs a Wick determinant above its guard {MAX_DET_SIZE}")
 
     warnings = []
     if "ed" in routes and (not lattice.is_finite or lattice.length > MAX_ED_LENGTH):
@@ -109,7 +111,7 @@ def cmd_correlator(args, parser) -> int:
         print(f"warning: {warnings[-1]}", file=sys.stderr)
     if not routes:
         parser.error("no usable routes left")
-    if "product" in routes and lattice.is_finite and x_max == lattice.length - 1:
+    if fallback:
         warnings.append(f"product at x={x_max} is the det route: the sine product stops at x = L-2")
         print(f"warning: {warnings[-1]}", file=sys.stderr)
 
@@ -119,6 +121,8 @@ def cmd_correlator(args, parser) -> int:
         columns["det"] = correlator_det_sweep(x_max, lattice)
     if "product" in routes:
         columns["product"] = correlator_sweep(x_max, lattice)
+    if "ed" in routes:
+        columns["ed"] = ed_correlator_sweep(lattice.length, x_max)
     rows = [_row_values(x, lattice, routes, params, columns) for x in range(1, x_max + 1)]
 
     meta = base_meta(
@@ -171,12 +175,17 @@ def cmd_finite_size(args, parser) -> int:
     lengths = [_next_admissible(L_req) for L_req in requested]
     if max(lengths) > MAX_RING_LENGTH:
         parser.error(f"--L-list entry {max(lengths)} exceeds the ring-length guard {MAX_RING_LENGTH}")
+    distances = [min(max(int(round(args.x_frac * L)), 1), L - 1) for L in lengths]
+    for L, x in zip(lengths, distances):
+        # x = L-1 is a Wick determinant, as in the correlator command
+        if x == L - 1 > MAX_DET_SIZE:
+            parser.error(f"--x-frac {args.x_frac} puts L={L} at x = L-1 = {x}, "
+                         f"above the det guard {MAX_DET_SIZE}")
 
     params = asymptotic_params()
     adjustments = [f"{L_req}->{L}" for L_req, L in zip(requested, lengths) if L != L_req]
     rows = []
-    for L in lengths:
-        x = min(max(int(round(args.x_frac * L)), 1), L - 1)
+    for L, x in zip(lengths, distances):
         lattice = LatticeSpec.finite(L)
         exact = correlator(x, lattice).value
         asym = asym_finite(x, L, params)

@@ -140,7 +140,7 @@ def _lu_in_place(a: np.ndarray) -> None:
 
     Elimination without pivoting, by recursive column split: factor the left
     half, solve the unit-lower L11 for U12, subtract L21 U12 from the trailing
-    block and factor it.  Needs only numpy; scipy.linalg would cost ~0.3 s
+    block and factor it.  Needs only numpy; scipy.linalg would cost ~0.35 s
     to import.
     """
     n = a.shape[1]

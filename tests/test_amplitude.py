@@ -28,6 +28,7 @@ from xxchain import (
     polygamma,
     r_value,
 )
+from xxchain import amplitude
 from xxchain.amplitude import _integrand
 
 PI = math.pi
@@ -54,6 +55,24 @@ def test_cancellation_identity():
 
 def test_lukyanov_integral_value():
     assert lukyanov_integral() == pytest.approx(LUKYANOV_I, abs=1e-10)
+
+
+def test_lukyanov_integral_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        exact = mp.quad(lambda t: (mp.exp(-4 * t) - mp.sech(t) ** 2) / t, [0, 1, 4, 16, 40, mp.inf])
+        err = abs(mp.mpf(lukyanov_integral()) - exact)
+    assert err <= 1e-15
+
+
+@pytest.mark.parametrize("nodes", [16, 24, 32])
+def test_lukyanov_rule_converged(nodes, monkeypatch):
+    # doubling the nodes on every panel moves the value by no more than rounding
+    values = []
+    for n in (nodes, 2 * nodes):
+        monkeypatch.setattr(amplitude, "_PANEL_NODES", n)
+        values.append(lukyanov_integral())
+    assert abs(values[0] - values[1]) <= 1e-15
 
 
 def test_integrand_tail_is_negligible():

@@ -5,9 +5,9 @@ import subprocess
 import sys
 
 import xxchain
-from xxchain import cli
+from xxchain import cli, ed
 from xxchain.cli import check_exact_agreement, main
-from xxchain.exact import MAX_RING_LENGTH
+from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH
 from xxchain.tables import ComparisonRow, RouteComparison, comparison_from_csv
 
 
@@ -196,6 +196,38 @@ def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
     assert out == ""
 
 
+def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a column was computed")
+
+    for name in ("correlator_sweep", "correlator_det_sweep", "asymptotic_params"):
+        monkeypatch.setattr(cli, name, no_work)
+    argv = ["correlator", "--L", "8194", "--x-max", "8193", "--routes", "product"]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert str(MAX_DET_SIZE) in err
+    assert "warning" not in err
+    assert out == ""
+
+
+def test_finite_size_det_fallback_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "correlator", no_work)
+    monkeypatch.setattr(cli, "asymptotic_params", no_work)
+    code, out, err = run(["finite-size", "--L-list", "102,10002", "--x-frac", "0.99999"], capsys)
+    assert code == 2
+    assert "L=10002" in err and str(MAX_DET_SIZE) in err
+    assert out == ""
+
+
+def test_finite_size_det_fallback_below_guard_runs(capsys):
+    code, out, _ = run(["finite-size", "--L-list", "102", "--x-frac", "0.99999", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["L"] == 102
+
+
 def test_product_det_fallback_is_reported(capsys):
     argv = ["correlator", "--L", "10", "--routes", "product", "--format", "json", "--x-max"]
     code, out, err = run(argv + ["9"], capsys)
@@ -225,3 +257,25 @@ def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
     probe = f"import sys; from xxchain.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def test_constants_leaves_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(xxchain.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["constants", "--out", str(tmp_path / "constants.csv")]
+    probe = f"import sys; from xxchain.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def test_ed_column_is_the_sweep(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("per-x ED was called")
+
+    monkeypatch.setattr(ed, "ed_correlator", no_work)
+    monkeypatch.setattr(ed, "ed_correlator_by_site", no_work)
+    code, out, _ = run(["correlator", "--L", "14", "--x-max", "13", "--routes", "ed,det"], capsys)
+    assert code == 0
+    table = comparison_from_csv(out)
+    assert [r.x for r in table.rows] == list(range(1, 14))
+    assert max(r.rel_errs["ed-det"] for r in table.rows) <= 1e-12

@@ -15,7 +15,7 @@ from xxchain import (
     ed_spectral_gap,
     spin_sector,
 )
-from xxchain.ed import ed_correlator_by_site
+from xxchain.ed import ed_correlator_by_site, ed_correlator_sweep
 
 
 def test_sector_shape():
@@ -67,6 +67,25 @@ def test_ed_vs_determinant_and_product(L):
         e = ed_correlator(L, x)
         assert rel(e, correlator_det(x, lat)) <= 1e-10
         assert rel(e, correlator(x, lat).value) <= 1e-10
+
+
+@pytest.mark.parametrize("L, even_m", [(6, False), (10, False), (14, False), (18, False), (12, True)])
+def test_ed_sweep_equals_per_x(L, even_m):
+    sweep = ed_correlator_sweep(L, L - 1, allow_even_m=even_m)
+    assert sweep.shape == (L - 1,)
+    for x in range(1, L):
+        assert rel(sweep[x - 1], ed_correlator(L, x, allow_even_m=even_m)) <= 1e-14
+    assert np.allclose(ed_correlator_sweep(L, 2, allow_even_m=even_m), sweep[:2], rtol=1e-14, atol=0)
+
+
+def test_ed_sweep_guards():
+    for bad in (0, 10, 2.0, True):
+        with pytest.raises(DomainError):
+            ed_correlator_sweep(10, bad)
+    with pytest.raises(DomainError):
+        ed_correlator_sweep(8, 3)
+    with pytest.raises(SizeError):
+        ed_correlator_sweep(22, 3)
 
 
 def test_translation_invariance():
