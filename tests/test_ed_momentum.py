@@ -1,0 +1,162 @@
+"""The k = pi momentum-sector ground state of M-odd rings, against the full sector."""
+
+import numpy as np
+import pytest
+
+from refs import momentum_filling_energy, rel
+from xxchain import ed_correlator, ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
+from xxchain import ed
+from xxchain.ed import (
+    _hamiltonian,
+    _lowest_pair,
+    _momentum_ground_state,
+    _pair_values,
+    _start_vector,
+    ed_correlator_sweep,
+)
+
+# max relerr of the full-sector ED column against mpmath before the k = pi route
+FULL_SECTOR_RELERR = {10: 6.9e-16, 14: 4.9e-16, 18: 1.15e-15}
+
+
+def _translate(states, L):
+    return ((states << 1) | (states >> (L - 1))) & ((1 << L) - 1)
+
+
+def _full_sector_correlators(L):
+    """G(1..L-1) from the full-sector oracle state, averaged over every site."""
+    sector = spin_sector(L)
+    psi = _lowest_pair(L)[2]
+    return np.array([np.mean([_pair_values(sector, psi, (i + x) % L, i) for i in range(L)])
+                     for x in range(1, L)])
+
+
+@pytest.mark.parametrize("L", [6, 10, 14, 18])
+def test_k_pi_route_matches_full_sector(L):
+    energy, psi = ed_ground_state(L)
+    e_full, _, psi_full = _lowest_pair(L)
+    assert rel(energy, e_full) <= 1e-14
+    assert abs(float(psi @ psi_full)) >= 1 - 1e-13
+    G = ed_correlator_sweep(L, L - 1)
+    oracle = _full_sector_correlators(L)
+    assert max(rel(a, b) for a, b in zip(G, oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [6, 10, 18])
+def test_k_pi_state_is_antisymmetric_under_translation(L):
+    sector = spin_sector(L)
+    shifted = sector.index(_translate(sector.basis, L))
+    _, psi, psi_ld = _momentum_ground_state(L)
+    assert np.array_equal(psi[shifted], -psi)
+    assert np.array_equal(psi_ld[shifted], -psi_ld)
+    assert np.array_equal(psi, psi_ld.astype(np.float64))
+    assert ed_ground_state(L)[1] is psi
+
+
+def test_k_pi_state_is_an_eigenvector_in_longdouble():
+    # the expansion commutes with H and keeps norms, so the full-sector
+    # residual of the expanded state is the polished k = pi residual
+    L = 18
+    _, _, psi = _momentum_ground_state(L)
+    H = _hamiltonian(spin_sector(L)).astype(np.longdouble)
+    h_psi = H @ psi
+    # np.sum sums pairwise; numpy's longdouble dot sums in sequence, which
+    # over 48,620 terms of one size is off by ~6e-16
+    residual = h_psi - np.sum(psi * h_psi) * psi
+    assert float(np.sqrt(np.sum(residual * residual))) <= 1e-16
+    assert abs(float(np.sum(psi * psi)) - 1) <= 1e-18
+
+
+def _wick_reference(L, mp):
+    """G(1..L-1) on a ring from the x-by-x Wick determinant at 30 digits."""
+
+    def kernel(d):
+        if d % 2 == 0:
+            return mp.mpf(0)
+        return 2 * mp.sin(mp.pi * d / 2) / (L * mp.sin(mp.pi * d / L))
+
+    out = []
+    with mp.workdps(30):
+        for x in range(1, L):
+            mat = mp.matrix([[kernel(i - j - 1) for j in range(x)] for i in range(x)])
+            out.append((-1) ** x * mp.det(mat) / 2)
+    return out
+
+
+@pytest.mark.parametrize("L", sorted(FULL_SECTOR_RELERR))
+def test_ed_sweep_against_mpmath(L):
+    mp = pytest.importorskip("mpmath")
+    G = ed_correlator_sweep(L, L - 1)
+    ref = _wick_reference(L, mp)
+    with mp.workdps(30):
+        worst = max(float(abs(mp.mpf(float(g)) / r - 1)) for g, r in zip(G, ref))
+    assert worst <= FULL_SECTOR_RELERR[L]
+
+
+@pytest.mark.parametrize("L", [14, 18])
+def test_start_vector_overlaps_ground_state(L):
+    psi = _lowest_pair(L)[2]
+    v0 = _start_vector(len(psi))
+    assert abs(float(v0 @ psi)) / np.linalg.norm(v0) >= 1e-3
+    # the uniform vector lies in k = 0, orthogonal to the k = pi ground state
+    assert abs(float(psi.sum())) / np.sqrt(len(psi)) <= 1e-12
+
+
+def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ED called into a fermionic route")
+
+    for module in (exact, greens):
+        for name, obj in list(vars(module).items()):
+            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
+                monkeypatch.setattr(module, name, refuse)
+    for cache in (spin_sector, _lowest_pair, _momentum_ground_state):
+        cache.cache_clear()
+    L = 14
+    energy, _ = ed_ground_state(L)
+    assert energy == pytest.approx(momentum_filling_energy(L), abs=1e-11)
+    assert ed_spectral_gap(L) > 1e-6
+    G = ed_correlator_sweep(L, L - 1)
+    assert rel(G[2], ed_correlator(L, 3)) <= 1e-14
+
+
+@pytest.mark.parametrize("L", [12, 16])
+def test_even_m_rings_use_the_full_sector(L, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("k = pi route used on an M-even ring")
+
+    monkeypatch.setattr(ed, "_momentum_ground_state", refuse)
+    energy, psi = ed_ground_state(L, allow_even_m=True)
+    e_full, _, psi_full = _lowest_pair(L, allow_even_m=True)
+    assert energy == e_full and psi is psi_full
+    sweep = ed_correlator_sweep(L, 3, allow_even_m=True)
+    for x in (1, 2, 3):
+        assert rel(sweep[x - 1], ed_correlator(L, x, allow_even_m=True)) <= 1e-14
+
+
+def test_k_pi_solve_reproducible():
+    a, psi_a = ed_ground_state(14)
+    _momentum_ground_state.cache_clear()  # force a genuine re-solve, not a cache hit
+    b, psi_b = ed_ground_state(14)
+    assert psi_a is not psi_b
+    assert abs(a - b) <= 1e-14
+    assert np.max(np.abs(psi_a - psi_b)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "cache, calls",
+    [
+        (spin_sector, (lambda: spin_sector(10), lambda: spin_sector(10, False),
+                       lambda: spin_sector(10, allow_even_m=True))),
+        (_lowest_pair, (lambda: _lowest_pair(10), lambda: _lowest_pair(10, False),
+                        lambda: ed_spectral_gap(10, allow_even_m=True))),
+        (_momentum_ground_state, (lambda: ed_ground_state(10), lambda: ed_ground_state(10, False),
+                                  lambda: ed_ground_state(10, allow_even_m=True))),
+    ],
+)
+def test_cache_key_ignores_how_the_flag_is_spelled(cache, calls):
+    cache.cache_clear()
+    for call in calls:
+        call()
+    info = cache.cache_info()
+    assert (info.misses, info.hits) == (1, len(calls) - 1)

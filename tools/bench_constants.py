@@ -49,15 +49,16 @@ CLI_PAIRS = 7
 ED_LENGTHS = (10, 14, 18)
 
 
-def run_constants(src: Path) -> dict:
+def run_cli(src: Path, args: list[str]) -> dict:
+    """Wall time, CPU time and peak RSS of one xxchain command run from src."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", ENTRY, "constants", "--out", os.devnull],
+    proc = subprocess.Popen([sys.executable, "-c", ENTRY, *args],
                             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"constants failed under {src}")
+        raise RuntimeError(f"{args[0]} failed under {src}")
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime,
             "peak_rss_mb": usage.ru_maxrss / 1024.0}
 
@@ -71,11 +72,12 @@ def summarise(samples: list[dict]) -> dict:
     return out
 
 
-def constants_cli(parent_src: Path) -> dict:
+def cli_pairs(parent_src: Path, args: list[str], pairs: int = CLI_PAIRS) -> dict:
+    """One command run from PARENT_SRC and from this tree's src, alternating, pairs times."""
     sides = {"parent": (parent_src, []), "change": (ROOT / "src", [])}
-    for _ in range(CLI_PAIRS):
+    for _ in range(pairs):
         for src, samples in sides.values():
-            samples.append(run_constants(src))
+            samples.append(run_cli(src, args))
     return {name: summarise(samples) for name, (_, samples) in sides.items()}
 
 
@@ -157,7 +159,7 @@ def main(out: str, parent_src: str) -> int:
             "nproc": os.cpu_count(),
             "cpu": cpu_model(),
         },
-        "constants": constants_cli(Path(parent_src).resolve()),
+        "constants": cli_pairs(Path(parent_src).resolve(), ["constants", "--out", os.devnull]),
         "lukyanov_integral": integral_errors(),
         "ed_pairs": ed_pairs(Reference()),
     }
