@@ -97,6 +97,8 @@ def cmd_correlator(args, parser) -> int:
     x_max = args.x_max
     if x_max < 1 or (lattice.is_finite and x_max > lattice.length - 1):
         parser.error(f"--x-max must lie in [1, L-1], got {x_max}")
+    if x_max > MAX_RING_LENGTH:
+        parser.error(f"--x-max {x_max} exceeds the ring-length guard {MAX_RING_LENGTH}")
     if "det" in routes and x_max > MAX_DET_SIZE:
         parser.error(f"--x-max {x_max} exceeds the det route's guard {MAX_DET_SIZE}")
     # the sine product stops at x = L-2; the product cell at x = L-1 is a Wick determinant
@@ -146,10 +148,11 @@ def cmd_correlator(args, parser) -> int:
 
 
 def cmd_constants(args, parser) -> int:
-    if args.n_fit < 1000:
-        parser.error(f"--n-fit must be >= 1000, got {args.n_fit}")
-    if args.x_fit_max < 1000:
-        parser.error(f"--x-fit-max must be >= 1000, got {args.x_fit_max}")
+    for flag, value in (("--n-fit", args.n_fit), ("--x-fit-max", args.x_fit_max)):
+        if value < 1000:
+            parser.error(f"{flag} must be >= 1000, got {value}")
+        if value > MAX_RING_LENGTH:
+            parser.error(f"{flag} {value} exceeds the ring-length guard {MAX_RING_LENGTH}")
     report = amplitude_report(n_fit=args.n_fit, x_fit_max=args.x_fit_max)
     values = report.as_dict()
     meta = base_meta(__version__, command="constants", n_fit=args.n_fit, x_fit_max=args.x_fit_max)

@@ -39,8 +39,6 @@ __all__ = [
 MAX_ED_LENGTH = 18
 # above this sector dimension the extremal eigenpair is found iteratively
 _DENSE_DIM_LIMIT = 1000
-# number of set bits in each byte value
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # Lanczos steps of the longdouble polish; at L = 18 they take the k = pi
 # residual |H c - E c| from 8e-15 to 1e-17 (20 steps reach the 3e-18 floor)
 _POLISH_STEPS = 12
@@ -51,8 +49,8 @@ class SpinSector:
     """Basis of spin configurations with exactly M = L/2 up spins.
 
     ``basis`` is sorted ascending; bit k of a basis integer is the spin at
-    site k.  Index lookup is by binary search, which is bijective on the
-    sector by construction.
+    site k.  :meth:`index` finds states by binary search in ``basis``, which
+    is bijective on the sector; it is the module's only state lookup.
     """
 
     L: int
@@ -104,11 +102,14 @@ def spin_sector(L: int) -> SpinSector:
     exploratory comparisons outside the M-odd regime of the closed formulas.
     """
     M = L // 2
-    states = np.arange(1 << L, dtype=np.int64)
-    ups = np.zeros(len(states), dtype=np.uint8)
-    for shift in range(0, L, 8):
-        ups += _POPCOUNT8[(states >> shift) & 0xFF]
-    basis = states[ups == M]
+    # rows[m]: the sorted m-bit patterns on the sites below l.  Appending the
+    # patterns that set site l after those that leave it empty keeps the
+    # order, and a row that can no longer reach M bits is not extended.
+    rows = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * M
+    for l in range(L):
+        for m in range(min(l + 1, M), max(M - (L - 1 - l), 1) - 1, -1):
+            rows[m] = np.concatenate((rows[m], rows[m - 1] | np.int64(1 << l)))
+    basis = rows[M]
     assert len(basis) == math.comb(L, M)
     basis.setflags(write=False)
     return SpinSector(L=L, M=M, basis=basis)
@@ -301,14 +302,14 @@ def ed_spectral_gap(L: int, allow_even_m: bool = False) -> float:
     return e1 - e0
 
 
-def _pair_values(sector: SpinSector, psi: np.ndarray, raise_site: int, lower_site: int) -> float:
-    """<sigma^+_{raise_site} sigma^-_{lower_site}> in the state psi."""
+def _pair_values(sector: SpinSector, psi: np.ndarray, raise_site: int, lower_site: int) -> np.floating:
+    """<sigma^+_{raise_site} sigma^-_{lower_site}> in the state psi, in psi's dtype."""
     basis = sector.basis
     ok = (((basis >> lower_site) & 1) == 1) & (((basis >> raise_site) & 1) == 0)
     src = np.nonzero(ok)[0]
     moved = (basis[src] & ~np.int64(1 << lower_site)) | np.int64(1 << raise_site)
     dst = sector.index(moved)
-    return float(np.dot(psi[dst], psi[src]))
+    return np.dot(psi[dst], psi[src])
 
 
 def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
@@ -331,13 +332,7 @@ def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:
 
 
 def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.ndarray:
-    """G(x) for x = 1..x_max from one pass over the lowered site.
-
-    The states with a spin up at the lowered site i are moved to each raised
-    site (i + x) mod L, and the moved states are looked up in a dense int32
-    rank table over all 2^L spin configurations (1 MB at L = 18).  A move
-    onto an occupied site leaves the sector; the table sends it to a zero
-    amplitude appended to psi.  Products are summed in longdouble.
+    """G(x) for x = 1..x_max from the pair sums of :func:`ed_correlator_by_site`, in longdouble.
 
     On M-odd rings the k = pi state is exactly antisymmetric under
     translation, so every i gives the same sum and i = 0 alone is read,
@@ -356,14 +351,8 @@ def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.nd
         psi, sites = _momentum_ground_state(L)[2], range(1)  # cached by the solve
     else:
         psi, sites = psi.astype(np.longdouble), range(L)
-    basis, dim = sector.basis, sector.dimension
-    rank = np.full(1 << L, dim, dtype=np.int32)
-    rank[basis] = np.arange(dim, dtype=np.int32)
-    amp = np.append(psi, 0)
     total = np.zeros(x_max, dtype=np.longdouble)
     for i in sites:
-        src = np.nonzero((basis >> i) & 1)[0]
-        lowered, weight = basis[src] ^ np.int64(1 << i), psi[src]
         for x in range(1, x_max + 1):
-            total[x - 1] += weight @ amp[rank[lowered | np.int64(1 << ((i + x) % L))]]
+            total[x - 1] += _pair_values(sector, psi, (i + x) % L, i)
     return (total / len(sites)).astype(np.float64)

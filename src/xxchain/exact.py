@@ -44,8 +44,9 @@ __all__ = [
 
 # Largest dense determinant we are willing to factorize.
 MAX_DET_SIZE = 4096
-# Largest ring the CLI's finite-size command evaluates; its log R_N table
-# holds about L/4 longdouble rows, so time and memory grow linearly in L.
+# Largest ring length, distance and fit size the CLI accepts (finite-size
+# --L-list, correlator --x-max, constants --n-fit and --x-fit-max); the log
+# R_N tables they build grow linearly in it, in time and memory.
 MAX_RING_LENGTH = 10_000_000
 # Below this many columns the no-pivot elimination runs rank-1 updates.
 _LU_LEAF = 32

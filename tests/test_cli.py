@@ -6,7 +6,7 @@ import sys
 
 import xxchain
 from xxchain import cli, ed
-from xxchain.cli import check_exact_agreement, main
+from xxchain.cli import _next_admissible, check_exact_agreement, main
 from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH
 from xxchain.tables import ComparisonRow, RouteComparison, comparison_from_csv
 
@@ -125,6 +125,18 @@ def test_constants_flag_validation(capsys):
     assert code == 2
 
 
+def test_constants_sizes_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    monkeypatch.setattr(cli, "amplitude_report", no_work)
+    for flag in ("--n-fit", "--x-fit-max"):
+        code, out, err = run(["constants", flag, str(MAX_RING_LENGTH + 1)], capsys)
+        assert code == 2
+        assert flag in err and str(MAX_RING_LENGTH) in err
+        assert out == ""
+
+
 def test_constants_default_run(capsys):
     code, out, err = run(["constants", "--format", "json"], capsys)
     assert code == 0
@@ -194,6 +206,20 @@ def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
     assert code == 2
     assert "4096" in err
     assert out == ""
+
+
+def test_correlator_x_max_fenced_up_front(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a column was computed")
+
+    for name in ("correlator_sweep", "correlator_det_sweep", "ed_correlator_sweep", "asymptotic_params"):
+        monkeypatch.setattr(cli, name, no_work)
+    for L in ("inf", str(_next_admissible(MAX_RING_LENGTH + 2))):
+        argv = ["correlator", "--L", L, "--x-max", str(MAX_RING_LENGTH + 1), "--routes", "product,asym"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert str(MAX_RING_LENGTH) in err
+        assert out == ""
 
 
 def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def test_sector_shape():
 
 @pytest.mark.parametrize("L", [6, 8, 12, 14, 18])
 def test_sector_basis_equals_loop_build(L):
-    # the Python loop over 2^L that the vectorised popcount replaced
+    # the Python loop over 2^L that the combinatorial build replaced
     loop = np.array([s for s in range(1 << L) if bin(s).count("1") == L // 2], dtype=np.int64)
     basis = spin_sector(L, allow_even_m=L % 4 == 0).basis
     assert basis.dtype == loop.dtype
@@ -52,12 +53,35 @@ def test_ground_state_is_simple(L):
 
 
 def test_energy_reproducible():
+    # the full-sector solve; test_k_pi_solve_reproducible covers k = pi
     from xxchain.ed import _lowest_pair
 
-    a, _ = ed_ground_state(14)
+    a = _lowest_pair(14)[0]
     _lowest_pair.cache_clear()  # force a genuine re-solve, not a cache hit
-    b, _ = ed_ground_state(14)
+    b = _lowest_pair(14)[0]
+    info = _lowest_pair.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
     assert abs(a - b) <= 1e-11
+
+
+def test_ed_memory_scales_with_the_sector():
+    # traced peaks in units of the int64 basis; the 2^L popcount build and
+    # rank table read 12 and 8 units here
+    L = 18
+    unit = 8 * math.comb(L, L // 2)
+    ed_correlator_sweep(L, L - 1)  # the solve, so the sweep below is the pair pass alone
+    spin_sector.cache_clear()
+    tracemalloc.start()
+    try:
+        spin_sector(L)
+        basis_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ed_correlator_sweep(L, L - 1)
+        sweep_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis_peak <= 4 * unit
+    assert sweep_peak <= 4 * unit
 
 
 @pytest.mark.parametrize("L", [6, 10, 14])
