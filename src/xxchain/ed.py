@@ -37,8 +37,6 @@ __all__ = [
 ]
 
 MAX_ED_LENGTH = 18
-# above this sector dimension the extremal eigenpair is found iteratively
-_DENSE_DIM_LIMIT = 1000
 # Lanczos steps of the longdouble polish; at L = 18 they take the k = pi
 # residual |H c - E c| from 8e-15 to 1e-17 (20 steps reach the 3e-18 floor)
 _POLISH_STEPS = 12
@@ -144,15 +142,10 @@ def _start_vector(dim: int) -> np.ndarray:
 
 
 def _lowest_eigenpairs(H, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues, ascending, and their vectors as columns."""
-    import scipy.linalg
+    """The k lowest eigenvalues, ascending, and their vectors as columns, by Lanczos."""
     import scipy.sparse.linalg
 
-    dim = H.shape[0]
-    if dim <= _DENSE_DIM_LIMIT:
-        w, v = scipy.linalg.eigh(H.toarray(), subset_by_index=[0, k - 1])
-    else:
-        w, v = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=_start_vector(dim))
+    w, v = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=_start_vector(H.shape[0]))
     order = np.argsort(w)
     return w[order], v[:, order]
 
@@ -168,37 +161,38 @@ def _lowest_pair(L: int):
 
 
 def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cycle leader, k = pi phase and orbit length of every basis state.
+    """Translation orbits of the basis: ``(leaders, orbit, phase)``.
 
-    The leader of a translation orbit is its smallest member.  A state
-    s = T^l(leader) carries the phase (-1)^l; the orbit length divides L,
-    which is even, so the phase is the same for every l that reaches s.
-    One vectorised pass per power of T, none per state.
+    ``leaders`` holds each orbit's smallest member, ascending; ``orbit``
+    numbers the orbit of every basis state, so ``np.bincount(orbit)`` are
+    the orbit lengths.  A state s = T^l(leader) carries the k = pi phase
+    (-1)^l; the orbit length divides L, which is even, so the phase is the
+    same for every l that reaches s.  One vectorised pass per power of T.
     """
     L, basis = sector.L, sector.basis
     leader = basis.copy()
     phase = np.ones(len(basis))
-    length = np.full(len(basis), L)
     state = basis
     for r in range(1, L):
         state = ((state << 1) | (state >> (L - 1))) & ((1 << L) - 1)
         smaller = state < leader
         leader[smaller] = state[smaller]
         phase[smaller] = (-1.0) ** r  # T^r(s) = leader, so s = T^(L-r)(leader)
-        length[(state == basis) & (length == L)] = r
-    return leader, phase, length
+    leaders = basis[leader == basis]
+    return leaders, np.searchsorted(leaders, leader), phase
 
 
-def _momentum_hamiltonian(sector: SpinSector, leaders, lengths, orbit, phase):
+def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase):
     """H in the orthonormal k = pi states |a> = P_a^(-1/2) sum_r (-1)^r T^r |leader_a>.
 
     A hop that takes leader a to s = T^l(leader_b) adds (-1)^l sqrt(P_a/P_b)
-    to element (b, a).  Entries are longdouble, for the polish.
+    to element (b, a), with P = ``np.bincount(orbit)`` from :func:`_orbits`.
+    Entries are longdouble, for the polish.
     """
     import scipy.sparse
 
     L = sector.L
-    lengths = lengths.astype(np.longdouble)
+    lengths = np.bincount(orbit).astype(np.longdouble)
     rows, cols, data = [], [], []
     for i in range(L):
         j = (i + 1) % L
@@ -261,16 +255,15 @@ def _momentum_ground_state(L: int):
     ordered like ``spin_sector(L).basis``, with psi(T s) = -psi(s) exactly.
     """
     sector = spin_sector(L)
-    leader, phase, length = _orbits(sector)
     # with M odd every orbit length is even (L/P divides M), so every orbit
     # carries one k = pi state
-    own = leader == sector.basis
-    leaders, lengths = sector.basis[own], length[own]
-    orbit = np.searchsorted(leaders, leader)
-    H = _momentum_hamiltonian(sector, leaders, lengths, orbit, phase)
+    leaders, orbit, phase = _orbits(sector)
+    H = _momentum_hamiltonian(sector, leaders, orbit, phase)
     _, v = _lowest_eigenpairs(H.astype(np.float64), 1)
     energy, c = _polish(H, v[:, 0])
-    psi_ld = phase * c[orbit] / np.sqrt(length.astype(np.longdouble))
+    c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
+    psi_ld = c[orbit]
+    psi_ld *= phase
     psi = psi_ld.astype(np.float64)
     for arr in (psi, psi_ld):
         arr.setflags(write=False)
@@ -285,8 +278,8 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     from the k = pi sector: eigensolve there, a longdouble Lanczos polish,
     then expansion to every state of each orbit.  Against the full-sector
     solve the energy and every G(x) agree to 1e-14 at L <= 18.  M-even
-    rings are solved in the full sector.  Either way: dense solve below
-    dimension 1000, Lanczos from a fixed-seed start vector above.
+    rings are solved in the full sector.  Either way the eigensolver is
+    Lanczos (``eigsh``) from a fixed-seed start vector, at every dimension.
     """
     _check_length(L, allow_even_m)
     if (L // 2) % 2:
@@ -302,14 +295,21 @@ def ed_spectral_gap(L: int, allow_even_m: bool = False) -> float:
     return e1 - e0
 
 
-def _pair_values(sector: SpinSector, psi: np.ndarray, raise_site: int, lower_site: int) -> np.floating:
-    """<sigma^+_{raise_site} sigma^-_{lower_site}> in the state psi, in psi's dtype."""
-    basis = sector.basis
-    ok = (((basis >> lower_site) & 1) == 1) & (((basis >> raise_site) & 1) == 0)
-    src = np.nonzero(ok)[0]
-    moved = (basis[src] & ~np.int64(1 << lower_site)) | np.int64(1 << raise_site)
-    dst = sector.index(moved)
-    return np.dot(psi[dst], psi[src])
+def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances) -> np.ndarray:
+    """<sigma^+_{lower_site+x} sigma^-_{lower_site}> in the state psi for each x in distances.
+
+    The states with ``lower_site`` up are found and lowered once; each
+    distance only tests its raised site among them.  Values are in psi's dtype.
+    """
+    L, basis, bit = sector.L, sector.basis, np.int64(1 << lower_site)
+    src = np.nonzero(basis & bit)[0]
+    lowered = basis[src] ^ bit
+    out = np.empty(len(distances), dtype=psi.dtype)
+    for n, x in enumerate(distances):
+        raised = np.int64(1 << ((lower_site + x) % L))
+        empty = (lowered & raised) == 0
+        out[n] = np.dot(psi[sector.index(lowered[empty] | raised)], psi[src[empty]])
+    return out
 
 
 def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
@@ -318,7 +318,7 @@ def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndar
         raise DomainError(f"require 1 <= x <= L-1, got x={x}, L={L}")
     sector = spin_sector(L, allow_even_m)
     _, psi = ed_ground_state(L, allow_even_m)
-    return np.array([_pair_values(sector, psi, (i + x) % L, i) for i in range(L)])
+    return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
 
 def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:
@@ -353,6 +353,5 @@ def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.nd
         psi, sites = psi.astype(np.longdouble), range(L)
     total = np.zeros(x_max, dtype=np.longdouble)
     for i in sites:
-        for x in range(1, x_max + 1):
-            total[x - 1] += _pair_values(sector, psi, (i + x) % L, i)
+        total += _pair_values(sector, psi, i, range(1, x_max + 1))
     return (total / len(sites)).astype(np.float64)

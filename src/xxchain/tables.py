@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import math
 from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
@@ -25,9 +26,10 @@ def fmt(v: float) -> str:
 
 
 def rel_err(a: float, b: float) -> float:
-    """|a-b| / max(|a|,|b|), and 0 for two exact zeros."""
-    scale = max(abs(a), abs(b))
-    return 0.0 if scale == 0.0 else abs(a - b) / scale
+    """|a-b| / max(|a|,|b|): 0 for equal values, NaN if either is NaN."""
+    diff = abs(a - b)
+    # max(0.0, nan) is 0.0, so a NaN operand is caught before the scale
+    return diff if diff == 0.0 or math.isnan(diff) else diff / max(abs(a), abs(b))
 
 
 @dataclass

@@ -113,9 +113,11 @@ def test_exact_agreement_gate_trips_on_corrupt_table():
 
 def test_exact_agreement_gate_trips_on_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
-        rows = [ComparisonRow(x=1, values={"det": bad, "product": -0.318})]
-        table = RouteComparison(lattice="inf", routes=["det", "product"], rows=rows)
-        assert check_exact_agreement(table), bad
+        for other in (-0.318, 0.0):
+            for values in ({"det": bad, "product": other}, {"det": other, "product": bad}):
+                rows = [ComparisonRow(x=1, values=values)]
+                table = RouteComparison(lattice="inf", routes=["det", "product"], rows=rows)
+                assert check_exact_agreement(table), values
 
 
 def test_constants_flag_validation(capsys):

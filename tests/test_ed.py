@@ -16,7 +16,12 @@ from xxchain import (
     ed_spectral_gap,
     spin_sector,
 )
-from xxchain.ed import ed_correlator_by_site, ed_correlator_sweep
+from xxchain.ed import (
+    _hamiltonian,
+    _momentum_ground_state,
+    ed_correlator_by_site,
+    ed_correlator_sweep,
+)
 
 
 def test_sector_shape():
@@ -82,6 +87,32 @@ def test_ed_memory_scales_with_the_sector():
         tracemalloc.stop()
     assert basis_peak <= 4 * unit
     assert sweep_peak <= 4 * unit
+
+
+def test_k_pi_solve_memory():
+    # traced peak of the k = pi solve in basis units, with the sector cached;
+    # it bounds ED's memory.  Orbit-sized work keeps it near 8.4: a per-state
+    # orbit-length array and a full-sector longdouble sqrt(length) read 11.8
+    import scipy.sparse.linalg  # noqa: F401  (its import is not the solve)
+
+    L = 18
+    unit = 8 * math.comb(L, L // 2)
+    spin_sector(L)
+    _momentum_ground_state.cache_clear()
+    tracemalloc.start()
+    try:
+        _momentum_ground_state(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * unit
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_spectral_gap_against_dense_spectrum(L):
+    # eigsh serves every dimension, down to sectors small enough to check densely
+    w = np.linalg.eigvalsh(_hamiltonian(spin_sector(L, allow_even_m=True)).toarray())
+    assert abs(ed_spectral_gap(L, allow_even_m=True) - (w[1] - w[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [6, 10, 14])

@@ -27,8 +27,7 @@ def _full_sector_correlators(L):
     """G(1..L-1) from the full-sector oracle state, averaged over every site."""
     sector = spin_sector(L)
     psi = _lowest_pair(L)[2]
-    return np.array([np.mean([_pair_values(sector, psi, (i + x) % L, i) for i in range(L)])
-                     for x in range(1, L)])
+    return np.mean([_pair_values(sector, psi, i, range(1, L)) for i in range(L)], axis=0)
 
 
 @pytest.mark.parametrize("L", [6, 10, 14, 18])

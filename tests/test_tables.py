@@ -1,4 +1,5 @@
 import json
+import math
 
 from xxchain.tables import (
     ComparisonRow,
@@ -31,6 +32,9 @@ def test_rel_err_definition():
     assert rel_err(2.0, 1.0) == 0.5
     assert rel_err(-1.0, 1.0) == 2.0
     assert rel_err(0.0, 0.0) == 0.0
+    # max(0.0, nan) is 0.0 in Python: a NaN operand must not read as agreement
+    assert math.isnan(rel_err(0.0, math.nan))
+    assert math.isnan(rel_err(math.nan, 0.0))
 
 
 def test_csv_header_and_endings():

@@ -92,19 +92,18 @@ def full_sector(L: int) -> tuple[dict, np.ndarray]:
 def k_pi_sector(L: int) -> tuple[dict, np.ndarray]:
     def basis():
         sector = fresh_sector(L)
-        leader, phase, length = ed._orbits(sector)
-        own = leader == sector.basis
-        return sector, leader, phase, length, own
+        return (sector, *ed._orbits(sector))
 
-    (sector, leader, phase, length, own), t_basis = median_time(basis)
-    leaders = sector.basis[own]
-    orbit = np.searchsorted(leaders, leader)
-    H, t_ham = median_time(lambda: ed._momentum_hamiltonian(sector, leaders, length[own], orbit, phase))
+    (sector, leaders, orbit, phase), t_basis = median_time(basis)
+    H, t_ham = median_time(lambda: ed._momentum_hamiltonian(sector, leaders, orbit, phase))
     (_, v), t_eig = median_time(lambda: ed._lowest_eigenpairs(H.astype(np.float64), 1))
 
     def polish():
         _, c = ed._polish(H, v[:, 0])
-        return phase * c[orbit] / np.sqrt(length.astype(np.longdouble))
+        c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
+        psi = c[orbit]
+        psi *= phase
+        return psi
 
     psi, t_polish = median_time(polish)
     ed._momentum_ground_state(L)  # fill the cache, so the sweep times the pair pass alone
