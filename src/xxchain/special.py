@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -32,19 +31,23 @@ _N_BERNOULLI = 122  # B_0 .. B_122; plenty for optimal truncation at z >= 16
 
 @functools.lru_cache(maxsize=1)
 def bernoulli_numbers(count: int = _N_BERNOULLI) -> tuple[float, ...]:
-    """B_0 .. B_count, computed exactly with rationals and rounded once.
+    """B_0 .. B_count, each an exact rational rounded once to a double.
 
-    The textbook recurrence sum_{k<m} C(m+1, k) B_k = -(m+1) B_m is unstable
-    in floating point; running it in Fraction arithmetic costs nothing at
-    this size and gives correctly rounded doubles.
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
+    built in integer arithmetic by the Brent-Harvey recurrence; B_1 = -1/2
+    and the other odd ones vanish.  Python's int / int is correctly rounded.
     """
-    B = [Fraction(1)]
-    for m in range(1, count + 1):
-        acc = Fraction(0)
-        for k in range(m):
-            acc += math.comb(m + 1, k) * B[k]
-        B.append(-acc / (m + 1))
-    return tuple(float(b) for b in B)
+    n = count // 2
+    T = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        T[k] = (k - 1) * T[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    B = [1.0, -0.5] + [0.0] * (count - 1)
+    for k in range(1, n + 1):
+        B[2 * k] = (-1) ** (k - 1) * 2 * k * T[k] / (4**k * (4**k - 1))
+    return tuple(B[: count + 1])
 
 
 def _polygamma_asym(m: int, z: float) -> float:

@@ -1,5 +1,10 @@
 """Comparison tables and their CSV/JSON wire formats.
 
+A :class:`RouteComparison` is columnar: one int array of distances ``x``,
+one float array per route in ``routes`` order, and one relative-error array
+per route pair ``a-b`` (``a`` before ``b`` in ``routes``), computed with one
+vectorised :func:`rel_err` per pair.  Every route fills every x.
+
 Numbers are always emitted with 17 significant digits so that a parsed
 table reproduces the original doubles bit for bit.  CSV uses LF endings,
 ``.`` as the decimal separator and the header layout
@@ -14,8 +19,9 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -25,18 +31,13 @@ def fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def rel_err(a: float, b: float) -> float:
-    """|a-b| / max(|a|,|b|): 0 for equal values, NaN if either is NaN."""
-    diff = abs(a - b)
-    # max(0.0, nan) is 0.0, so a NaN operand is caught before the scale
-    return diff if diff == 0.0 or math.isnan(diff) else diff / max(abs(a), abs(b))
-
-
-@dataclass
-class ComparisonRow:
-    x: int
-    values: dict[str, float]
-    rel_errs: dict[str, float] = field(default_factory=dict)
+def rel_err(a, b):
+    """|a-b| / max(|a|,|b|) elementwise: 0 for equal values, NaN if either is NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # silent IEEE results, as with Python floats; np.maximum propagates NaN
+    with np.errstate(all="ignore"):
+        diff = np.abs(a - b)
+        return np.where(diff == 0.0, 0.0, diff / np.maximum(np.abs(a), np.abs(b)))[()]
 
 
 @dataclass
@@ -45,22 +46,19 @@ class RouteComparison:
 
     lattice: str
     routes: list[str]
-    rows: list[ComparisonRow]
+    x: np.ndarray
+    values: list[np.ndarray]
     meta: dict = field(default_factory=dict)
+    rel_errs: dict[str, np.ndarray] = field(init=False)
 
     def __post_init__(self):
-        self.rows.sort(key=lambda r: r.x)
-        for row in self.rows:
-            if not row.rel_errs:
-                names = [r for r in self.routes if r in row.values]
-                for i, a in enumerate(names):
-                    for b in names[i + 1 :]:
-                        row.rel_errs[f"{a}-{b}"] = rel_err(row.values[a], row.values[b])
-
-    @property
-    def pair_names(self) -> list[str]:
-        names = self.routes
-        return [f"{a}-{b}" for i, a in enumerate(names) for b in names[i + 1 :]]
+        order = np.argsort(self.x, kind="stable")
+        self.x = np.asarray(self.x)[order]
+        self.values = [np.asarray(v, dtype=float)[order] for v in self.values]
+        named = list(zip(self.routes, self.values))
+        self.rel_errs = {
+            f"{a}-{b}": rel_err(va, vb) for i, (a, va) in enumerate(named) for b, vb in named[i + 1 :]
+        }
 
 
 def base_meta(tool_version: str, **extra) -> dict:
@@ -76,45 +74,39 @@ def comparison_to_csv(table: RouteComparison) -> str:
     header = (
         ["x"]
         + [f"route:{name}" for name in table.routes]
-        + [f"relerr:{pair}" for pair in table.pair_names]
+        + [f"relerr:{pair}" for pair in table.rel_errs]
     )
-    lines = [",".join(header)]
-    for row in table.rows:
-        cells = [str(row.x)]
-        cells += [fmt(row.values[name]) if name in row.values else "" for name in table.routes]
-        cells += [
-            fmt(row.rel_errs[pair]) if pair in row.rel_errs else "" for pair in table.pair_names
-        ]
-        lines.append(",".join(cells))
+    columns = [map(str, table.x.tolist())]
+    columns += [map(fmt, col.tolist()) for col in (*table.values, *table.rel_errs.values())]
+    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
 def comparison_from_csv(text: str) -> RouteComparison:
+    """A CSV table with its relerr columns as printed, so a round trip checks them."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     header = lines[0].split(",")
     routes = [h.split(":", 1)[1] for h in header if h.startswith("route:")]
     pairs = [h.split(":", 1)[1] for h in header if h.startswith("relerr:")]
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        x = int(cells[0])
-        values, rels = {}, {}
-        for name, cell in zip(routes, cells[1 : 1 + len(routes)]):
-            if cell:
-                values[name] = float(cell)
-        for pair, cell in zip(pairs, cells[1 + len(routes) :]):
-            if cell:
-                rels[pair] = float(cell)
-        rows.append(ComparisonRow(x=x, values=values, rel_errs=rels))
-    return RouteComparison(lattice="", routes=routes, rows=rows)
+    cells = [ln.split(",") for ln in lines[1:]]
+    x = np.array([int(row[0]) for row in cells], dtype=int)
+    order = np.argsort(x, kind="stable")
+    columns = [np.array([float(row[j]) for row in cells])[order] for j in range(1, len(header))]
+    table = RouteComparison(lattice="", routes=routes, x=x[order], values=columns[: len(routes)])
+    table.rel_errs = dict(zip(pairs, columns[len(routes) :]))
+    return table
 
 
 def comparison_to_json(table: RouteComparison) -> str:
+    pairs = list(table.rel_errs)
+    columns = [col.tolist() for col in (*table.values, *table.rel_errs.values())]
+    n = len(table.routes)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "meta": dict(table.meta, lattice=table.lattice, routes=table.routes),
         "rows": [
-            {"x": row.x, "values": row.values, "relerr": row.rel_errs} for row in table.rows
+            {"x": x, "values": dict(zip(table.routes, cells[:n])), "relerr": dict(zip(pairs, cells[n:]))}
+            for x, *cells in zip(table.x.tolist(), *columns)
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -132,18 +124,8 @@ def constants_to_json(values: dict[str, float], meta: dict) -> str:
 
 
 def scaling_to_csv(rows: list[dict]) -> str:
-    lines = ["L,exact,asym_finite,deviation_times_L"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["L"]),
-                    fmt(row["exact"]),
-                    fmt(row["asym_finite"]),
-                    fmt(row["deviation_times_L"]),
-                ]
-            )
-        )
+    names = ["L", "exact", "asym_finite", "deviation_times_L"]
+    lines = [",".join(names)] + [",".join([str(r["L"])] + [fmt(r[k]) for k in names[1:]]) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -4,11 +4,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import xxchain
 from xxchain import cli, ed
 from xxchain.cli import _next_admissible, check_exact_agreement, main
 from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH
-from xxchain.tables import ComparisonRow, RouteComparison, comparison_from_csv
+from xxchain.tables import RouteComparison, comparison_from_csv
 
 
 def run(argv, capsys):
@@ -20,6 +22,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def one_row(values):
+    """A table at x = 1 with one value per route, routes in dict order."""
+    return RouteComparison(
+        lattice="inf", routes=list(values), x=np.array([1]), values=[np.array([v]) for v in values.values()]
+    )
+
+
 def test_correlator_product_vs_ed(capsys):
     code, out, _ = run(
         ["correlator", "--L", "10", "--x-max", "9", "--routes", "product,ed", "--format", "csv"],
@@ -27,8 +36,8 @@ def test_correlator_product_vs_ed(capsys):
     )
     assert code == 0
     table = comparison_from_csv(out)
-    assert len(table.rows) == 9
-    assert max(r.rel_errs["product-ed"] for r in table.rows) <= 1e-10
+    assert len(table.x) == 9
+    assert table.rel_errs["product-ed"].max() <= 1e-10
 
 
 def test_correlator_rejects_bad_length(capsys):
@@ -58,7 +67,7 @@ def test_asym_relerr_decays_like_x_squared(capsys):
     )
     assert code == 0
     table = comparison_from_csv(out)
-    errs = {r.x: r.rel_errs["product-asym"] for r in table.rows}
+    errs = dict(zip(table.x.tolist(), table.rel_errs["product-asym"].tolist()))
     # even-x relative error ~ (1/8) x^-2: quartering when x doubles
     for x in (10, 20):
         ratio = errs[x] / errs[2 * x]
@@ -103,21 +112,79 @@ def test_json_output_schema(capsys, tmp_path):
 
 
 def test_exact_agreement_gate_trips_on_corrupt_table():
-    rows = [ComparisonRow(x=1, values={"det": -0.318, "product": -0.317})]
-    table = RouteComparison(lattice="inf", routes=["det", "product"], rows=rows)
-    assert check_exact_agreement(table)
-    rows = [ComparisonRow(x=1, values={"product": -0.318, "asym": -0.317})]
-    table = RouteComparison(lattice="inf", routes=["product", "asym"], rows=rows)
-    assert not check_exact_agreement(table)  # asym pairs are never gated
+    assert check_exact_agreement(one_row({"det": -0.318, "product": -0.317}))
+    assert not check_exact_agreement(one_row({"product": -0.318, "asym": -0.317}))  # asym pairs are never gated
+
+
+def test_exact_agreement_messages_by_x_then_pair():
+    table = RouteComparison(
+        lattice="inf",
+        routes=["det", "product", "ed"],
+        x=np.array([2, 1]),
+        values=[np.array([0.2, -0.318]), np.array([0.2, -0.317]), np.array([0.2000002, math.nan])],
+    )
+    assert check_exact_agreement(table) == [
+        "x=1 det-product relerr=3.145e-03",
+        "x=1 det-ed relerr=nan",
+        "x=1 product-ed relerr=nan",
+        "x=2 det-ed relerr=1.000e-06",
+        "x=2 product-ed relerr=1.000e-06",
+    ]
 
 
 def test_exact_agreement_gate_trips_on_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         for other in (-0.318, 0.0):
             for values in ({"det": bad, "product": other}, {"det": other, "product": bad}):
-                rows = [ComparisonRow(x=1, values=values)]
-                table = RouteComparison(lattice="inf", routes=["det", "product"], rows=rows)
-                assert check_exact_agreement(table), values
+                assert check_exact_agreement(one_row(values)), values
+
+
+def test_unwritable_out_rejected_up_front(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("correlator_sweep", "correlator_det_sweep", "ed_correlator_sweep", "asymptotic_params",
+                 "amplitude_report", "correlator"):
+        monkeypatch.setattr(cli, name, no_work)
+    commands = (["correlator", "--L", "10", "--x-max", "9"], ["constants"], ["finite-size", "--L-list", "258"])
+    for target in (tmp_path / "missing" / "t.csv", tmp_path):
+        for argv in commands:
+            code, out, err = run(argv + ["--out", str(target)], capsys)
+            assert code == 2
+            assert "error:" in err and "--out" in err
+            assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_existing_writable_out_accepted(capsys, tmp_path):
+    # /dev/null sits in a directory only root may write to; the file itself is judged
+    existing = tmp_path / "t.csv"
+    existing.write_text("old\n")
+    for target in (os.devnull, existing):
+        code, out, err = run(["correlator", "--L", "10", "--x-max", "9", "--out", str(target)], capsys)
+        assert code == 0, err
+        assert out == ""
+    assert existing.read_text().startswith("x,route:")
+
+
+def test_csv_and_json_cells_agree(capsys):
+    argv = ["correlator", "--L", "14", "--x-max", "13", "--routes", "ed,det,product,asym", "--format"]
+    code, csv_out, _ = run(argv + ["csv"], capsys)
+    assert code == 0
+    code, json_out, _ = run(argv + ["json"], capsys)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    names = header.split(",")
+    rows = json.loads(json_out)["rows"]
+    assert len(lines) == len(rows) == 13
+    assert len(names) == 1 + 4 + 6
+    for line, row in zip(lines, rows):
+        cells = line.split(",")
+        assert int(cells[0]) == row["x"]
+        for name, cell in zip(names[1:], cells[1:]):
+            kind, key = name.split(":")
+            value = row["values" if kind == "route" else "relerr"][key]
+            assert float(cell).hex() == value.hex(), (row["x"], name)
 
 
 def test_constants_flag_validation(capsys):
@@ -305,5 +372,5 @@ def test_ed_column_is_the_sweep(capsys, monkeypatch):
     code, out, _ = run(["correlator", "--L", "14", "--x-max", "13", "--routes", "ed,det"], capsys)
     assert code == 0
     table = comparison_from_csv(out)
-    assert [r.x for r in table.rows] == list(range(1, 14))
-    assert max(r.rel_errs["ed-det"] for r in table.rows) <= 1e-12
+    assert table.x.tolist() == list(range(1, 14))
+    assert table.rel_errs["ed-det"].max() <= 1e-12

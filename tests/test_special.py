@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -111,3 +112,9 @@ def test_zeta_odd_domain():
             zeta_odd(s)
     with pytest.raises(DomainError):
         zeta_odd(3.0)  # type: ignore[arg-type]
+
+
+def test_bernoulli_numbers_against_mpmath():
+    mp = pytest.importorskip("mpmath")
+    exact = tuple(float(Fraction(*mp.bernfrac(k))) for k in range(123))
+    assert bernoulli_numbers() == exact
