@@ -9,11 +9,14 @@ all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 On the M-odd rings of the closed formulas the ground state is found in the
 k = pi momentum sector, where it lies for the +1 hop (translation eigenvalue
 -1): one state per translation orbit, C(L, L/2)/L of them (2,704 at L = 18
-against 48,620 in the full sector).  The eigensolver's vector is polished by
-a short Lanczos run in ``np.longdouble`` and expanded to full-sector
+against 48,620 in the full sector).  That sector's Hamiltonian is kept as
+per-bond triplets and solved by a small numpy Lanczos; its vector is polished
+by a short Lanczos run in ``np.longdouble`` and expanded to full-sector
 amplitudes, which are then exactly antisymmetric under translation.  M-even
 rings, admitted with ``allow_even_m``, and the spectral gap are solved in the
-full sector, which also stays the oracle of the k = pi route.
+full sector with a scipy sparse matrix and ARPACK (``eigsh``), which also
+stays the oracle of the k = pi route: an independent eigensolver on an
+independent basis.  Only that path imports scipy.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ __all__ = [
 
 MAX_ED_LENGTH = 18
 # Lanczos steps of the longdouble polish; at L = 18 they take the k = pi
-# residual |H c - E c| from 8e-15 to 1e-17 (20 steps reach the 3e-18 floor)
+# residual |H c - E c| from 2.0e-14 to 1.6e-17 (16 steps reach the 1.5e-18 floor)
 _POLISH_STEPS = 12
+# Krylov budget of the float64 k = pi Lanczos, which converges in 47 steps at
+# L = 18 and 59 at L = 22; the block of 64 vectors is the solve's traced peak
+_LANCZOS_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -133,10 +139,12 @@ def _hamiltonian(sector: SpinSector) -> scipy.sparse.csr_matrix:
 
 
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed-seed eigsh start vector, for run-to-run reproducibility.
+    """Fixed-seed start vector of both eigensolvers, for run-to-run reproducibility.
 
-    A uniform vector would lie in k = 0, orthogonal to the k = pi ground
-    state, and leave the eigensolver to find it through rounding alone.
+    ``eigsh`` starts from it in the full sector and :func:`_lanczos` in the
+    k = pi sector.  In the full sector a uniform vector would lie in k = 0,
+    orthogonal to the k = pi ground state, and leave the eigensolver to find
+    it through rounding alone.
     """
     return np.random.default_rng(0).standard_normal(dim)
 
@@ -182,33 +190,71 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return leaders, np.searchsorted(leaders, leader), phase
 
 
-def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase):
+def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> list:
     """H in the orthonormal k = pi states |a> = P_a^(-1/2) sum_r (-1)^r T^r |leader_a>.
 
     A hop that takes leader a to s = T^l(leader_b) adds (-1)^l sqrt(P_a/P_b)
     to element (b, a), with P = ``np.bincount(orbit)`` from :func:`_orbits`.
+    H is kept as one ``(a, b, d)`` triple of arrays per bond, H[b, a] += d;
+    ``a`` holds no repeats within a bond, which :func:`_apply` relies on.
     Entries are longdouble, for the polish.
     """
-    import scipy.sparse
-
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
-    rows, cols, data = [], [], []
+    bonds = []
     for i in range(L):
         j = (i + 1) % L
         a = np.nonzero(((leaders >> i) & 1) != ((leaders >> j) & 1))[0]
         hop = sector.index(leaders[a] ^ ((1 << i) | (1 << j)))
         b = orbit[hop]
-        rows.append(b)
-        cols.append(a)
-        data.append(phase[hop] * np.sqrt(lengths[a] / lengths[b]))
-    dim = len(leaders)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    )
+        bonds.append((a, b, phase[hop] * np.sqrt(lengths[a] / lengths[b])))
+    return bonds
 
 
-def _polish(H, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
+def _apply(bonds: list, v: np.ndarray) -> np.ndarray:
+    """H @ v for H as bond triplets, in the dtype of the triplets' entries.
+
+    Each bond scatters into its own ``a``, free of repeats, so one fancy
+    ``+=`` per bond is exact; it applies the transpose of H, which is H.
+    """
+    out = np.zeros(len(v), dtype=bonds[0][2].dtype)
+    for a, b, d in bonds:
+        out[a] += d * v[b]
+    return out
+
+
+def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
+    """Lowest eigenpair of H by Lanczos from :func:`_start_vector`: ``(energy, vector, steps)``.
+
+    The Krylov block is allocated once for ``min(dim, _LANCZOS_STEPS)``
+    vectors and reorthogonalised in full, twice per step.  The run stops when
+    the lowest Ritz pair's residual |beta_m y_m| reaches machine precision
+    or when the Krylov space is exhausted, where the pair is exact.  The
+    free-fermion spectrum is degenerate, so one start vector spans only as
+    many dimensions as H has distinct eigenvalues: beta_m falls to rounding
+    after 3 steps at L = 6 and 11 at L = 10 (4 and 26 states).
+    """
+    steps = min(dim, _LANCZOS_STEPS)
+    Q = np.empty((steps, dim))
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    q = _start_vector(dim)
+    Q[0] = q / np.linalg.norm(q)
+    for m in range(1, steps + 1):
+        w = _apply(bonds, Q[m - 1])
+        alpha[m - 1] = Q[m - 1] @ w
+        for _ in range(2):
+            w -= (Q[:m] @ w) @ Q[:m]
+        beta[m - 1] = np.linalg.norm(w)
+        T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
+        theta, Y = np.linalg.eigh(T)
+        if m == dim or abs(beta[m - 1] * Y[-1, 0]) <= np.finfo(np.float64).eps * abs(theta[0]):
+            return float(theta[0]), Y[:, 0] @ Q[:m], m
+        if m < steps:
+            Q[m] = w / beta[m - 1]
+    raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
+
+
+def _polish(bonds: list, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
     """Refine an accurate lowest eigenvector v of H by one Lanczos run in longdouble.
 
     The Krylov basis is reorthogonalised in full.  The lowest eigenpair of
@@ -223,7 +269,7 @@ def _polish(H, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
     alpha, beta = [], []
     steps = min(_POLISH_STEPS, len(v))
     for _ in range(steps):
-        w = H @ basis[-1]
+        w = _apply(bonds, basis[-1])
         alpha.append(basis[-1] @ w)
         Q = np.array(basis)
         w -= (Q @ w) @ Q
@@ -258,9 +304,9 @@ def _momentum_ground_state(L: int):
     # with M odd every orbit length is even (L/P divides M), so every orbit
     # carries one k = pi state
     leaders, orbit, phase = _orbits(sector)
-    H = _momentum_hamiltonian(sector, leaders, orbit, phase)
-    _, v = _lowest_eigenpairs(H.astype(np.float64), 1)
-    energy, c = _polish(H, v[:, 0])
+    bonds = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    _, v, _ = _lanczos([(a, b, d.astype(np.float64)) for a, b, d in bonds], len(leaders))
+    energy, c = _polish(bonds, v)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
     psi_ld = c[orbit]
     psi_ld *= phase
@@ -279,7 +325,8 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     then expansion to every state of each orbit.  Against the full-sector
     solve the energy and every G(x) agree to 1e-14 at L <= 18.  M-even
     rings are solved in the full sector.  Either way the eigensolver is
-    Lanczos (``eigsh``) from a fixed-seed start vector, at every dimension.
+    Lanczos from a fixed-seed start vector, at every dimension: the numpy
+    :func:`_lanczos` in the k = pi sector, ARPACK (``eigsh``) in the full one.
     """
     _check_length(L, allow_even_m)
     if (L // 2) % 2:

@@ -344,23 +344,27 @@ def test_import_leaves_scipy_unloaded():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
-def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
+def _assert_exits_0_without_scipy(argv):
+    """Run ``main(argv)`` in a fresh interpreter: it must return 0 and leave scipy unimported."""
     src = os.path.dirname(os.path.dirname(xxchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
-            "--out", str(tmp_path / "table.csv")]
     probe = f"import sys; from xxchain.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.stdout.split() == ["0", "False"], done.stderr
+
+
+def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
+    _assert_exits_0_without_scipy(["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
+                                  "--out", str(tmp_path / "table.csv")])
 
 
 def test_constants_leaves_scipy_unloaded(tmp_path):
-    src = os.path.dirname(os.path.dirname(xxchain.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["constants", "--out", str(tmp_path / "constants.csv")]
-    probe = f"import sys; from xxchain.cli import main; print(main({argv!r}), 'scipy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
-    assert done.stdout.split() == ["0", "False"], done.stderr
+    _assert_exits_0_without_scipy(["constants", "--out", str(tmp_path / "constants.csv")])
+
+
+def test_ed_column_leaves_scipy_unloaded(tmp_path):
+    _assert_exits_0_without_scipy(["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product",
+                                  "--out", str(tmp_path / "table.csv")])
 
 
 def test_ed_column_is_the_sweep(capsys, monkeypatch):

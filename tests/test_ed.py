@@ -91,9 +91,9 @@ def test_ed_memory_scales_with_the_sector():
 
 def test_k_pi_solve_memory():
     # traced peak of the k = pi solve in basis units, with the sector cached;
-    # it bounds ED's memory.  Orbit-sized work keeps it near 8.4: a per-state
-    # orbit-length array and a full-sector longdouble sqrt(length) read 11.8
-    import scipy.sparse.linalg  # noqa: F401  (its import is not the solve)
+    # it bounds ED's memory.  Orbit-sized work keeps it near 8.7, set by the
+    # Lanczos block: a per-state orbit-length array and a full-sector
+    # longdouble sqrt(length) read 11.8
 
     L = 18
     unit = 8 * math.comb(L, L // 2)

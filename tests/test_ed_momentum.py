@@ -7,9 +7,13 @@ from refs import momentum_filling_energy, rel
 from xxchain import ed_correlator, ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
 from xxchain import ed
 from xxchain.ed import (
+    _LANCZOS_STEPS,
     _hamiltonian,
+    _lanczos,
     _lowest_pair,
     _momentum_ground_state,
+    _momentum_hamiltonian,
+    _orbits,
     _pair_values,
     _start_vector,
     ed_correlator_sweep,
@@ -28,6 +32,59 @@ def _full_sector_correlators(L):
     sector = spin_sector(L)
     psi = _lowest_pair(L)[2]
     return np.mean([_pair_values(sector, psi, i, range(1, L)) for i in range(L)], axis=0)
+
+
+def _k_pi_bonds(L):
+    sector = spin_sector(L)
+    leaders, orbit, phase = _orbits(sector)
+    bonds = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    return [(a, b, d.astype(np.float64)) for a, b, d in bonds], len(leaders)
+
+
+def _dense(bonds, dim):
+    H = np.zeros((dim, dim))
+    for a, b, d in bonds:
+        np.add.at(H, (b, a), d)
+    return H
+
+
+@pytest.mark.parametrize("L", [6, 10, 14])
+def test_k_pi_bond_matrix_is_symmetric(L):
+    # the matvec scatters each bond into a, so it applies H^T
+    bonds, dim = _k_pi_bonds(L)
+    for a, _, _ in bonds:
+        assert len(np.unique(a)) == len(a)
+    H = _dense(bonds, dim)
+    assert np.array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("L", [6, 10, 14])
+def test_lanczos_energy_matches_dense_spectrum(L):
+    bonds, dim = _k_pi_bonds(L)
+    energy, _, _ = _lanczos(bonds, dim)
+    assert abs(energy - np.linalg.eigvalsh(_dense(bonds, dim))[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("L", [6, 10])
+def test_lanczos_ends_on_krylov_exhaustion(L):
+    # below the step budget the Krylov space of the start vector runs out
+    # after one step per distinct eigenvalue, and the Ritz pair is exact
+    bonds, dim = _k_pi_bonds(L)
+    H = _dense(bonds, dim)
+    w = np.linalg.eigvalsh(H)
+    distinct = 1 + int(np.sum(np.diff(w) > 1e-9))
+    energy, v, steps = _lanczos(bonds, dim)
+    assert dim < _LANCZOS_STEPS
+    assert steps == distinct < dim
+    assert abs(energy - w[0]) <= 1e-13
+    assert abs(np.linalg.norm(v) - 1) <= 1e-14
+    assert np.linalg.norm(H @ v - energy * v) <= 1e-14
+
+
+def test_lanczos_raises_when_the_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(ed, "_LANCZOS_STEPS", 8)
+    with pytest.raises(ArithmeticError, match="8 steps"):
+        _lanczos(*_k_pi_bonds(14))
 
 
 @pytest.mark.parametrize("L", [6, 10, 14, 18])
