@@ -46,7 +46,9 @@ __all__ = [
 MAX_DET_SIZE = 4096
 # Largest ring length, distance and fit size the CLI accepts (finite-size
 # --L-list, correlator --x-max, constants --n-fit and --x-fit-max); the log
-# R_N tables they build grow linearly in it, in time and memory.
+# R_N tables they build grow linearly in it, in time and memory.  At the
+# guard, finite-size --L-list 9999998 takes 0.7 s and 144 MB max RSS (0.8 s
+# and 167 MB with --x-frac 0.9) on a 2-core Xeon VM.
 MAX_RING_LENGTH = 10_000_000
 # Below this many columns the no-pivot elimination runs rank-1 updates.
 _LU_LEAF = 32
@@ -209,6 +211,27 @@ def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
 _PI = np.longdouble("3.141592653589793238462643383279502884")
 
 
+def _sine_grid(m: int, L: int) -> np.ndarray:
+    """sin(2 pi k/L) for k = 1..m, m <= L/4, in np.longdouble from 4 ceil(sqrt(m)) sines.
+
+    With b = ceil(sqrt(m)), k = b i + j for i in [0, b) and j in [1, b], and
+    angle addition over the b-by-b grid gives
+
+        sin(2 pi k/L) = sin(2 pi b i/L) cos(2 pi j/L) + cos(2 pi b i/L) sin(2 pi j/L).
+
+    For every k <= m both angles lie in [0, pi/2], so both terms are >= 0 and
+    nothing cancels: the relative error against mpmath is at most 1.62 times
+    the longdouble epsilon, sampled at L = 6..669878, where one sinl per k
+    would cost m calls.
+    """
+    b = math.ceil(math.sqrt(m))
+    hi = 2 * _PI * (b * np.arange(b)) / L
+    lo = 2 * _PI * np.arange(1, b + 1) / L
+    grid = np.outer(np.sin(hi), np.cos(lo))
+    grid += np.outer(np.cos(hi), np.sin(lo))
+    return grid.ravel()[:m]
+
+
 def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
     """Log factors f_0..f_{n-1} in np.longdouble, with log R_N = sum_{k<N} (N-k) f_k.
 
@@ -218,20 +241,27 @@ def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
             = -log1p(-sin^2(pi/L) / sin^2(2 pi k/L))
 
     lets one log1p carry the full relative accuracy, where the three-log form
-    loses ~1e-8 absolute by N ~ 1e4.  On the infinite chain the ratio is
+    loses ~1e-8 absolute by N ~ 1e4.  On a ring the sines come from
+    :func:`_sine_grid` for k <= L/4; past L/4 the factors fold exactly,
+    f_k = f_{L/2-k} (sin(2 pi k/L) = sin(pi - 2 pi k/L), L/2 odd), so no sine
+    is taken past pi/2, where the rounded longdouble argument put sinl off by
+    up to 1.1e4 ulp at L = 100002 (1.7e6 at L = 9999998), and a sweep past
+    x = L/2 pays for each log1p once.  On the infinite chain the ratio is
     1/(2k)^2 and f_0 = log(2/pi).
     """
-    k = np.arange(n)
     f = np.empty(n, dtype=np.longdouble)
     if lattice.is_finite:
         L = lattice.length
         s = np.sin(_PI / L)
         f[:1] = np.log(2 / (L * s))
-        q = (s / np.sin(2 * _PI * k[1:] / L)) ** 2
+        m = min(max(n - 1, 0), L // 4)
+        q = s / _sine_grid(m, L)
+        f[1:m + 1] = -np.log1p(-q * q)
+        h = L // 2
+        f[m + 1:] = f[h - n + 1:h - m][::-1]
     else:
         f[:1] = np.log(2 / _PI)
-        q = 0.25 / np.square(k[1:], dtype=np.longdouble)
-    f[1:] = -np.log1p(-q)
+        f[1:] = -np.log1p(-0.25 / np.square(np.arange(1, n), dtype=np.longdouble))
     return f
 
 
@@ -255,17 +285,18 @@ def r_value(N: int, lattice: LatticeSpec = INFINITE) -> LogProduct:
 def log_r_table(n_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     """log R_N for N = 0..n_max in one O(n_max) sweep (log R_0 = 0): the bulk path.
 
-    log R_N = N S_{N-1} - T_{N-1}, with prefix sums S_m = sum_{k<=m} f_k and
-    T_m = sum_{k<=m} k f_k of the factors of :func:`r_value` in np.longdouble.
-    Against mpmath, the max abs error is 2.9e-16 (the final rounding) on the
-    infinite chain for N <= 1e4 and on L = 4002 for N <= 2000, with x87
-    80-bit longdouble.
+    log R_{N+1} = log R_N + S_N with S_N = sum_{k<=N} f_k, the factors of
+    :func:`r_value`, so the table is a prefix sum of prefix sums, both taken
+    in np.longdouble.  Against mpmath, the max abs error is 2.77e-16 on the
+    infinite chain for N <= 1e4 and 2.88e-16 on L = 4002 for N <= 2000 (the
+    final rounding), with x87 80-bit longdouble.
     """
     _check_r_range(max(n_max, 1), lattice)
     f = _log_factors(n_max, lattice)
-    N = np.arange(1, n_max + 1)
+    np.cumsum(f, out=f)
+    np.cumsum(f, out=f)
     out = np.zeros(n_max + 1)
-    out[1:] = N * np.cumsum(f) - np.cumsum(f * (N - 1))
+    out[1:] = f
     return out
 
 
@@ -273,15 +304,19 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     """G(x) for x = 1..x_max from one :func:`log_r_table`, exponentiating once per x.
 
     Even x = 2N gives +1/2 R_N^2, odd x = 2N+1 gives -1/2 R_N R_{N+1} with
-    the convention R_0 = 1 (forced by the x = 1 value).  On a finite ring
-    the single distance x = L-1 needs R_{L/2}, which the sine product cannot
-    reach; that entry is the Wick determinant.
+    the convention R_0 = 1 (forced by the x = 1 value): with r[i] = log
+    R_{i//2}, G(x) = (-1)^x/2 exp(r[x] + r[x+1]).  On a finite ring the single
+    distance x = L-1 needs R_{L/2}, which the sine product cannot reach; that
+    entry is the Wick determinant.
     """
     _check_distance(x_max, lattice)
     det_last = lattice.is_finite and x_max == lattice.length - 1
-    x = np.arange(1, x_max + 1 - det_last)
-    table = log_r_table((len(x) + 1) // 2, lattice)
-    g = np.where(x % 2, -0.5, 0.5) * np.exp(table[x // 2] + table[(x + 1) // 2])
+    n = x_max - det_last
+    r = np.repeat(log_r_table((n + 1) // 2, lattice), 2)
+    g = r[1:n + 1] + r[2:n + 2]
+    np.exp(g, out=g)
+    g[0::2] *= -0.5
+    g[1::2] *= 0.5
     return np.append(g, correlator_det(x_max, lattice)) if det_last else g
 
 

@@ -167,18 +167,69 @@ def _mp_log_r(n_max, L, mp):
         return out
 
 
-@pytest.mark.parametrize("L, n_max", [(None, 10000), (4002, 2000)])
+@pytest.mark.parametrize("L, n_max", [(None, 10000), (4002, 2000), (10002, 5000)])
 def test_log_r_table_against_mpmath(L, n_max):
     mp = pytest.importorskip("mpmath")
     lat = INFINITE if L is None else LatticeSpec.finite(L)
     ref = _mp_log_r(n_max, L, mp)
     table = log_r_table(n_max, lat)
     worst = max(abs(float(mp.mpf(float(t)) - r)) for t, r in zip(table, ref))
-    assert worst <= 1e-15  # docstring: 2.9e-16 measured on both lattices
+    assert worst <= 1e-15  # docstring: 2.77e-16, 2.88e-16 and 3.24e-16 measured
     samples = sorted({int(N) for N in np.linspace(1, n_max, 60)})
     table_err = max(abs(float(mp.mpf(float(table[N])) - ref[N])) for N in samples)
     scalar_err = max(abs(float(mp.mpf(r_value(N, lat).log_abs) - ref[N])) for N in samples)
     assert table_err <= scalar_err
+
+
+def _mp_max_relerr(sweep, L, mp):
+    """Max relerr of G(1..len(sweep)) against the 30-digit sine product."""
+    log_r = _mp_log_r(len(sweep) // 2 + 1, L, mp)
+    with mp.workdps(30):
+        worst = 0.0
+        for x in range(1, len(sweep) + 1):
+            N = x // 2
+            ref = mp.exp(2 * log_r[N]) / 2 if x % 2 == 0 else -mp.exp(log_r[N] + log_r[N + 1]) / 2
+            worst = max(worst, float(abs(mp.mpf(float(sweep[x - 1])) / ref - 1)))
+    return worst
+
+
+def test_correlator_sweep_against_mpmath_past_the_fold():
+    mp = pytest.importorskip("mpmath")
+    L = 1202
+    # x = L - 2 reads R_N up to N = L/2 - 1: factors past k = L/4 come from k' = L/2 - k
+    worst = _mp_max_relerr(correlator_sweep(L - 2, LatticeSpec.finite(L)), L, mp)
+    assert worst <= 1e-15  # 5.0e-16 measured
+
+
+@pytest.mark.parametrize("L", [6, 10, 14, 1202, 100002, 669878])
+def test_sine_grid_within_two_ulp(L):
+    # ulp here is relative: |grid / sin - 1| in units of the longdouble epsilon 2^-63
+    mp = pytest.importorskip("mpmath")
+    m = L // 4
+    grid = exact._sine_grid(m, L)
+    assert grid.shape == (m,) and grid.dtype == np.longdouble
+    ks = sorted({int(k) for k in np.linspace(1, m, 200)} | {1, m})
+    with mp.workdps(40):
+        eps = mp.mpf(2) ** -63
+        worst = 0.0
+        for k in ks:
+            num, den = grid[k - 1].as_integer_ratio()
+            ref = mp.sin(2 * mp.pi * k / L)
+            worst = max(worst, float(abs(mp.mpf(num) / den / ref - 1) / eps))
+    assert worst <= 2.0  # 1.62 measured
+
+
+def test_sine_grid_small_sizes():
+    for m in range(4):
+        assert exact._sine_grid(m, 14).shape == (m,)
+
+
+@pytest.mark.parametrize("L", [6, 10, 14, 62, 1202, 10002])
+def test_log_factors_fold_at_the_quarter_ring(L):
+    n = L // 2 - 1  # the largest table a ring admits: 2N <= L - 1
+    f = exact._log_factors(n, LatticeSpec.finite(L))
+    for k in range(L // 4 + 1, n):
+        assert f[k] == f[L // 2 - k], k
 
 
 @pytest.mark.parametrize("lat, x_max", [
@@ -225,14 +276,7 @@ def test_det_sweep_against_mpmath(L):
     mp = pytest.importorskip("mpmath")
     x_max = 450
     lat = INFINITE if L is None else LatticeSpec.finite(L)
-    log_r = _mp_log_r(x_max // 2 + 1, L, mp)
-    sweep = correlator_det_sweep(x_max, lat)
-    with mp.workdps(30):
-        worst = 0.0
-        for x in range(1, x_max + 1):
-            N = x // 2
-            ref = mp.exp(2 * log_r[N]) / 2 if x % 2 == 0 else -mp.exp(log_r[N] + log_r[N + 1]) / 2
-            worst = max(worst, float(abs(mp.mpf(float(sweep[x - 1])) / ref - 1)))
+    worst = _mp_max_relerr(correlator_det_sweep(x_max, lat), L, mp)
     assert worst <= 1e-13  # 4.8e-14 on L = 1102 and 3.0e-14 on the infinite chain measured
 
 
