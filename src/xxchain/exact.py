@@ -47,8 +47,8 @@ MAX_DET_SIZE = 4096
 # Largest ring length, distance and fit size the CLI accepts (finite-size
 # --L-list, correlator --x-max, constants --n-fit and --x-fit-max); the log
 # R_N tables they build grow linearly in it, in time and memory.  At the
-# guard, finite-size --L-list 9999998 takes 0.7 s and 144 MB max RSS (0.8 s
-# and 167 MB with --x-frac 0.9) on a 2-core Xeon VM.
+# guard, finite-size --L-list 9999998 takes 0.26 s and 144 MB max RSS (0.28 s
+# and 146 MB with --x-frac 0.9) on a 2-core Xeon VM, median of 5 runs.
 MAX_RING_LENGTH = 10_000_000
 # Below this many columns the no-pivot elimination runs rank-1 updates.
 _LU_LEAF = 32
@@ -232,22 +232,57 @@ def _sine_grid(m: int, L: int) -> np.ndarray:
     return grid.ravel()[:m]
 
 
+# Below this q^2 the log factors take the short series of _neg_log1m: past
+# k = 512 on the infinite chain, and within a few k of it on a ring.
+_SERIES_Q2 = 2.0**-20
+
+
+def _neg_log1m(q2: np.ndarray, out: np.ndarray) -> None:
+    """out = -log1p(-q2) for a non-increasing np.longdouble q2 in [0, 1/3].
+
+    While q2 > 2^-20 each element takes one log1p.  Past that,
+
+        -log1p(-q^2) = q^2 + q^2 (q^2/2 + q^4/3 + q^6/4) + R,   0 < R <= q^10 / (5 (1 - q^2)),
+
+    with q^2 in np.longdouble and the correction in float64.  R is below
+    2^-82 of the result, and the correction, at most q^2/2 <= 2^-21 of the
+    result, carries a few float64 roundings, below 2^-71 of it; so the one
+    longdouble addition decides, and the series is within 0.50 longdouble eps
+    of mpmath on exact inputs, where log1p is within 0.64.
+    """
+    i = len(q2) - int(np.searchsorted(q2[::-1], _SERIES_Q2, side="right"))
+    out[:i] = -np.log1p(-q2[:i])
+    t = q2[i:].astype(np.float64)
+    c = 0.25 * t
+    c += 1.0 / 3.0
+    c *= t
+    c += 0.5
+    c *= t
+    c *= t
+    np.add(q2[i:], c, out=out[i:])
+
+
 def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
     """Log factors f_0..f_{n-1} in np.longdouble, with log R_N = sum_{k<N} (N-k) f_k.
 
     f_0 = log R_1 = log(2 G0(1)); for k >= 1 the exact product-to-sum rewriting
 
         f_k = 2 ln sin(2 pi k/L) - ln sin(pi(2k+1)/L) - ln sin(pi(2k-1)/L)
-            = -log1p(-sin^2(pi/L) / sin^2(2 pi k/L))
+            = -log1p(-q_k^2),   q_k = sin(pi/L) / sin(2 pi k/L),
 
     lets one log1p carry the full relative accuracy, where the three-log form
-    loses ~1e-8 absolute by N ~ 1e4.  On a ring the sines come from
+    loses ~1e-8 absolute by N ~ 1e4; past q_k^2 = 2^-20 a short series takes
+    the place of log1p (:func:`_neg_log1m`).  On a ring the sines come from
     :func:`_sine_grid` for k <= L/4; past L/4 the factors fold exactly,
     f_k = f_{L/2-k} (sin(2 pi k/L) = sin(pi - 2 pi k/L), L/2 odd), so no sine
     is taken past pi/2, where the rounded longdouble argument put sinl off by
     up to 1.1e4 ulp at L = 100002 (1.7e6 at L = 9999998), and a sweep past
-    x = L/2 pays for each log1p once.  On the infinite chain the ratio is
-    1/(2k)^2 and f_0 = log(2/pi).
+    x = L/2 pays for each factor once.  On the infinite chain q_k^2 = 1/(2k)^2
+    and f_0 = log(2/pi).  Each f_k, k >= 1, is within 3.8 longdouble eps of
+    mpmath at L = 100002 and 669878 (1.1 on the infinite chain), most of it
+    from the sines.  f_0 carries one longdouble rounding, and log R_N takes it
+    N times: on rings of L = 4.6e5 to 7.8e5, at N ~ L/4, G = +-1/2 R_N R_{N+1}
+    is off by 2.2e-15 to 2.3e-14 relative.
     """
     f = np.empty(n, dtype=np.longdouble)
     if lattice.is_finite:
@@ -255,13 +290,14 @@ def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
         s = np.sin(_PI / L)
         f[:1] = np.log(2 / (L * s))
         m = min(max(n - 1, 0), L // 4)
-        q = s / _sine_grid(m, L)
-        f[1:m + 1] = -np.log1p(-q * q)
+        q = _sine_grid(m, L)
+        np.divide(s, q, out=q)
+        _neg_log1m(np.square(q, out=q), f[1:m + 1])
         h = L // 2
         f[m + 1:] = f[h - n + 1:h - m][::-1]
     else:
         f[:1] = np.log(2 / _PI)
-        f[1:] = -np.log1p(-0.25 / np.square(np.arange(1, n), dtype=np.longdouble))
+        _neg_log1m(0.25 / np.square(np.arange(1, n), dtype=np.longdouble), f[1:])
     return f
 
 
@@ -289,7 +325,10 @@ def log_r_table(n_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     :func:`r_value`, so the table is a prefix sum of prefix sums, both taken
     in np.longdouble.  Against mpmath, the max abs error is 2.77e-16 on the
     infinite chain for N <= 1e4 and 2.88e-16 on L = 4002 for N <= 2000 (the
-    final rounding), with x87 80-bit longdouble.
+    final rounding), with x87 80-bit longdouble.  On large rings the one
+    rounding of f_0 dominates, since log R_N takes it N times: at N ~ L/4 on
+    rings of L = 4.6e5 to 7.8e5, log R_N + log R_{N+1}, the log of 2|G(2N+1)|,
+    is off by 2.2e-15 to 2.3e-14.
     """
     _check_r_range(max(n_max, 1), lattice)
     f = _log_factors(n_max, lattice)
@@ -321,7 +360,15 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
 
 
 def correlator(x: int, lattice: LatticeSpec = INFINITE) -> CorrelatorSample:
-    """G(x) as the last entry of :func:`correlator_sweep`, tagged DET at x = L-1."""
-    value = float(correlator_sweep(x, lattice)[-1])
-    det = lattice.is_finite and x == lattice.length - 1
-    return CorrelatorSample(x=x, value=value, route=Route.DET if det else Route.PRODUCT)
+    """G(x) from two entries of one :func:`log_r_table`; the Wick determinant at x = L-1.
+
+    With r = log_r_table((x+1)//2), G(x) = (-1)^x/2 exp(r[x//2] + r[(x+1)//2]):
+    the arithmetic of the last entry of :func:`correlator_sweep`, which it
+    matches bit for bit, without the sweep's other 2N cells.
+    """
+    _check_distance(x, lattice)
+    if lattice.is_finite and x == lattice.length - 1:
+        return CorrelatorSample(x=x, value=correlator_det(x, lattice), route=Route.DET)
+    r = log_r_table((x + 1) // 2, lattice)
+    value = float(np.exp(r[x // 2] + r[(x + 1) // 2])) * (-0.5 if x % 2 else 0.5)
+    return CorrelatorSample(x=x, value=value, route=Route.PRODUCT)

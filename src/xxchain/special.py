@@ -1,8 +1,8 @@
 """Special-function kernel: Bernoulli numbers, polygamma, Riemann zeta.
 
-Everything here is double precision and self-contained.  The polygamma
-evaluator follows the classical scheme: push the argument up by the
-recurrence
+Everything here is double precision, apart from the exact Bernoulli
+rationals, and self-contained.  The polygamma evaluator follows the
+classical scheme: push the argument up by the recurrence
 
     psi^(m)(z) = psi^(m)(z+1) - (-1)^m m! / z^(m+1)
 
@@ -29,13 +29,13 @@ MAX_POLYGAMMA_ORDER = 64
 _N_BERNOULLI = 122  # B_0 .. B_122; plenty for optimal truncation at z >= 16
 
 
-@functools.lru_cache(maxsize=1)
-def bernoulli_numbers(count: int = _N_BERNOULLI) -> tuple[float, ...]:
-    """B_0 .. B_count, each an exact rational rounded once to a double.
+def bernoulli_rationals(count: int = _N_BERNOULLI) -> tuple[tuple[int, int], ...]:
+    """B_0 .. B_count exactly, each as (numerator, denominator) in lowest terms, with B_1 = -1/2.
 
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers T_k,
-    built in integer arithmetic by the Brent-Harvey recurrence; B_1 = -1/2
-    and the other odd ones vanish.  Python's int / int is correctly rounded.
+    built in integer arithmetic by the Brent-Harvey recurrence; the other
+    odd ones vanish.  Integer pairs, not fractions.Fraction, whose import
+    (it loads decimal) would cost every command ~6 ms.
     """
     n = count // 2
     T = [0, 1] + [0] * (n - 1)
@@ -44,10 +44,21 @@ def bernoulli_numbers(count: int = _N_BERNOULLI) -> tuple[float, ...]:
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
-    B = [1.0, -0.5] + [0.0] * (count - 1)
+    B = [(1, 1), (-1, 2)] + [(0, 1)] * (count - 1)
     for k in range(1, n + 1):
-        B[2 * k] = (-1) ** (k - 1) * 2 * k * T[k] / (4**k * (4**k - 1))
+        num, den = (-1) ** (k - 1) * 2 * k * T[k], 4**k * (4**k - 1)
+        g = math.gcd(num, den)
+        B[2 * k] = (num // g, den // g)
     return tuple(B[: count + 1])
+
+
+@functools.lru_cache(maxsize=1)
+def bernoulli_numbers(count: int = _N_BERNOULLI) -> tuple[float, ...]:
+    """B_0 .. B_count, each the exact rational of :func:`bernoulli_rationals` rounded once to a double.
+
+    Python's int / int is correctly rounded.
+    """
+    return tuple(num / den for num, den in bernoulli_rationals(count))
 
 
 def _polygamma_asym(m: int, z: float) -> float:

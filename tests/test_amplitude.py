@@ -102,8 +102,8 @@ def test_gamma_product_matches_sine_product(N):
 
 
 def test_gamma_product_at_fit_scale():
-    # at N = 1e4 the route is limited by lgamma cancellation (three ~8e4
-    # values per term, ~1e-11 absolute each); measured ~2e-10 relative
+    # per-term lgamma differences measured 2.2e-10 relative here; the 1/k
+    # series measures 7.9e-14, most of it r_value's rounding of (N-k) f_k
     assert rel(log_r_gamma_product(10000), r_value(10000, INFINITE).log_abs) <= 1e-9
 
 
@@ -224,3 +224,41 @@ def test_preconditions():
         amplitude_report(n_fit=100)
     with pytest.raises(DomainError):
         amplitude_report(x_fit_max=500)
+
+
+def _mp_log_r_barnes(N, mp):
+    n = mp.mpf(N)
+    g = mp.barnesg
+    return mp.log(g(n + 1) ** 2 * g(0.5) * g(1.5) / (g(n + 0.5) * g(n + 1.5)))
+
+
+@pytest.mark.parametrize("N", [1, 2, 9, 10, 11, 500, 10000])
+def test_gamma_product_against_mpmath(N):
+    # 9 and 10 straddle the cut between the direct terms and the 1/k series
+    mp = pytest.importorskip("mpmath")
+    assert amplitude._GAMMA_K0 == 10
+    with mp.workdps(40):
+        ref = _mp_log_r_barnes(N, mp)
+        assert float(abs(log_r_gamma_product(N) / ref - 1)) <= 1e-13  # 5.4e-16 at most measured
+
+
+def test_gamma_series_coefficients():
+    c = amplitude._gamma_series()[::-1]
+    assert len(c) == amplitude._GAMMA_TERMS
+    assert c[:4] == (-1 / 4, -1 / 8, -5 / 96, -1 / 64)
+
+
+def test_gamma_product_never_reads_the_sine_product(monkeypatch):
+    from xxchain import exact
+
+    Ns = [1, 2, 9, 10, 11, 500, 5000]
+    expected = [log_r_gamma_product(N) for N in Ns]
+
+    def forbidden(*args):
+        raise AssertionError("the gamma product reached the sine product")
+
+    for module, name in [(exact, "_log_factors"), (exact, "_sine_grid"), (exact, "log_r_table"),
+                         (exact, "r_value"), (amplitude, "log_r_table")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [log_r_gamma_product(N) for N in Ns] == expected
+    assert math.isfinite(amplitude._richardson_limit(log_r_gamma_product, 10000))

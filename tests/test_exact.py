@@ -300,3 +300,72 @@ def test_det_sweep_guards():
         correlator_det_sweep(0, INFINITE)
     with pytest.raises(DomainError):
         correlator_det_sweep(10, LatticeSpec.finite(10))
+
+
+@pytest.mark.parametrize("L, xs", [
+    (62, [1, 2, 15, 16, 31, 40, 45, 60, 61]),
+    (1202, [1, 2, 301, 302, 601, 602, 901, 1200, 1201]),
+    (100002, [1, 2, 25001, 25002, 50001, 50002, 90001, 100000]),
+    (None, [1, 2, 3, 511, 1024, 1025, 9999, 20000]),
+])
+def test_correlator_is_the_last_sweep_cell(L, xs):
+    # odd and even x, x past L/2, x = L-2 and, on the two small rings, x = L-1 (DET)
+    lat = INFINITE if L is None else LatticeSpec.finite(L)
+    for x in xs:
+        sample = correlator(x, lat)
+        assert sample.value == correlator_sweep(x, lat)[-1], x
+        assert sample.route is (Route.DET if x == (L or 0) - 1 else Route.PRODUCT)
+    if L is not None and L - 1 > MAX_DET_SIZE:
+        with pytest.raises(SizeError):
+            correlator(L - 1, lat)
+        with pytest.raises(SizeError):
+            correlator_sweep(L - 1, lat)
+
+
+def _ld_to_mp(v, mp):
+    num, den = v.as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+@pytest.mark.parametrize("L", [100002, 669878, None])
+def test_far_factors_against_mpmath(L):
+    # relative error in units of the longdouble epsilon 2^-63, on both sides of
+    # the k where q_k^2 = (sin(pi/L) / sin(2 pi k/L))^2 crosses the series threshold
+    mp = pytest.importorskip("mpmath")
+    lat = INFINITE if L is None else LatticeSpec.finite(L)
+    n = 20000 if L is None else L // 4 + 1
+    f = exact._log_factors(n, lat)
+    with mp.workdps(40):
+        s = mp.mpf(1) / 2 if L is None else mp.sin(mp.pi / L)
+
+        def q2(k):
+            return (s / (k if L is None else mp.sin(2 * mp.pi * k / L))) ** 2
+
+        split = next(k for k in range(1, n) if q2(k) <= exact._SERIES_Q2)
+        ks = sorted(set(range(split - 40, split + 40))
+                    | {int(k) for k in np.geomspace(1, n - 1, 120)})
+        assert ks[0] >= 1 and ks[-1] < n
+        eps = mp.mpf(2) ** -63
+        worst = {True: 0.0, False: 0.0}
+        for k in ks:
+            err = abs(_ld_to_mp(f[k], mp) / -mp.log1p(-q2(k)) - 1) / eps
+            worst[k >= split] = max(worst[k >= split], float(err))
+    # the log1p factors measured 2.99, 2.74 and 1.03, the series ones 3.74, 3.28
+    # and 0.82 (infinite chain last), as at the parent: the sines dominate
+    assert worst[False] <= 4.0 and worst[True] <= 4.0
+
+
+def test_series_step_against_mpmath():
+    # the shared step alone, on exact longdouble inputs spanning both branches
+    mp = pytest.importorskip("mpmath")
+    q2 = np.geomspace(np.longdouble(0.25), np.longdouble(1e-13), 3000)
+    out = np.empty_like(q2)
+    exact._neg_log1m(q2, out)
+    split = int(np.count_nonzero(q2 > exact._SERIES_Q2))
+    assert 0 < split < len(q2)
+    with mp.workdps(40):
+        eps = mp.mpf(2) ** -63
+        errs = [float(abs(_ld_to_mp(o, mp) / -mp.log1p(-_ld_to_mp(q, mp)) - 1) / eps)
+                for q, o in zip(q2, out)]
+    assert max(errs[:split]) <= 1.0  # log1p: 0.64 measured
+    assert max(errs[split:]) <= 0.51  # series: the one longdouble addition, 0.50 measured

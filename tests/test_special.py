@@ -5,6 +5,7 @@ import pytest
 
 from refs import EULER_GAMMA, ZETA_3, ZETA_3_HALVES, ZETA_5_HALVES, rel
 from xxchain import DomainError, bernoulli_numbers, polygamma, zeta_em, zeta_odd
+from xxchain.special import bernoulli_rationals
 
 
 def test_bernoulli_exact_values():
@@ -118,3 +119,11 @@ def test_bernoulli_numbers_against_mpmath():
     mp = pytest.importorskip("mpmath")
     exact = tuple(float(Fraction(*mp.bernfrac(k))) for k in range(123))
     assert bernoulli_numbers() == exact
+
+
+def test_bernoulli_rationals_are_exact():
+    mp = pytest.importorskip("mpmath")
+    exact = bernoulli_rationals()
+    assert exact == tuple(mp.bernfrac(k) for k in range(123))
+    assert tuple(num / den for num, den in exact) == bernoulli_numbers()
+    assert bernoulli_rationals(4) == ((1, 1), (-1, 2), (1, 6), (0, 1), (-1, 30))
