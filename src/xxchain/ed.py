@@ -361,9 +361,9 @@ def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances
 
 def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
     """Per-site values <sigma^+_{i+x} sigma^-_i> for i = 0..L-1 (translation check)."""
+    sector = spin_sector(L, allow_even_m)
     if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= L - 1:
         raise DomainError(f"require 1 <= x <= L-1, got x={x}, L={L}")
-    sector = spin_sector(L, allow_even_m)
     _, psi = ed_ground_state(L, allow_even_m)
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
@@ -390,9 +390,9 @@ def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.nd
     M-even rings average the full-sector state over all L sites, as
     :func:`ed_correlator` does; that stays the scalar form and the oracle.
     """
+    sector = spin_sector(L, allow_even_m)
     if not isinstance(x_max, int) or isinstance(x_max, bool) or not 1 <= x_max <= L - 1:
         raise DomainError(f"require 1 <= x_max <= L-1, got x_max={x_max}, L={L}")
-    sector = spin_sector(L, allow_even_m)
     _, psi = ed_ground_state(L, allow_even_m)  # the solve, under its public name
     if (L // 2) % 2:
         psi, sites = _momentum_ground_state(L)[2], range(1)  # cached by the solve

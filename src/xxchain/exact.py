@@ -330,6 +330,8 @@ def log_r_table(n_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     rings of L = 4.6e5 to 7.8e5, log R_N + log R_{N+1}, the log of 2|G(2N+1)|,
     is off by 2.2e-15 to 2.3e-14.
     """
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
+        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
     _check_r_range(max(n_max, 1), lattice)
     f = _log_factors(n_max, lattice)
     np.cumsum(f, out=f)

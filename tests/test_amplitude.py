@@ -27,6 +27,7 @@ from xxchain import (
     lukyanov_integral,
     polygamma,
     r_value,
+    zeta_em,
 )
 from xxchain import amplitude
 from xxchain.amplitude import _integrand
@@ -240,6 +241,23 @@ def test_gamma_product_against_mpmath(N):
     with mp.workdps(40):
         ref = _mp_log_r_barnes(N, mp)
         assert float(abs(log_r_gamma_product(N) / ref - 1)) <= 1e-13  # 5.4e-16 at most measured
+
+
+def test_constant_routes_at_their_measured_accuracy():
+    # each bound is about 3x the figure measured against mpmath at 40 digits
+    # and given in the route's docstring
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        A, zeta_prime = glaisher()
+        assert float(abs(A / mp.glaisher - 1)) <= 4.2e-15  # 1.4e-15
+        assert float(abs(zeta_prime / mp.zeta(-1, derivative=1) - 1)) <= 2.4e-14  # 8.1e-15
+        ln_b = mp.log(2) / 12 + mp.mpf(1) / 4 - 3 * mp.log(mp.glaisher)
+        c0 = mp.sqrt(mp.pi) * mp.exp(2 * ln_b) / mp.sqrt(2)
+        assert float(abs(asymptotic_params().c0 / c0 - 1)) <= 2.5e-14  # 8.4e-15
+        for N in (2, 3, 5, 10, 100, 1000, 5000, 10000):
+            assert float(abs(log_r_series(N) - _mp_log_r_barnes(N, mp))) <= 1.7e-15  # 5.8e-16
+        for s in (1.1, 1.5, 2.0, 3.0, 5.0, 21.0):
+            assert float(abs(zeta_em(s) - mp.zeta(s))) <= 1.6e-15  # 5.4e-16
 
 
 def test_gamma_series_coefficients():

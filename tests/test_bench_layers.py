@@ -1,0 +1,17 @@
+"""Smoke test of tools/bench_layers.py: every layer at its smallest size, in process."""
+
+import os
+import sys
+
+import xxchain
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
+import bench_layers  # noqa: E402
+
+
+def test_every_layer_at_its_smallest_size():
+    for name, layer in bench_layers.LAYERS.items():
+        record = bench_layers.measure(xxchain, name, layer.sizes[0])
+        assert "absent" not in record, (name, record)
+        assert record["median_s"] > 0 and record["peak_mb"] > 0, (name, record)
+        assert record["max_relerr"] <= layer.bound, (name, record)

@@ -143,6 +143,13 @@ def test_ed_sweep_guards():
         ed_correlator_sweep(22, 3)
 
 
+@pytest.mark.parametrize("call", [ed_correlator, ed_correlator_by_site, ed_correlator_sweep])
+@pytest.mark.parametrize("L", [None, "18", 18.0, True])
+def test_length_checked_before_distance(call, L):
+    with pytest.raises(DomainError):
+        call(L, 3)
+
+
 def test_translation_invariance():
     vals = ed_correlator_by_site(10, 3)
     assert np.max(vals) - np.min(vals) <= 1e-10

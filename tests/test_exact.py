@@ -120,12 +120,19 @@ def test_log_product_reconstruction():
 def test_log_r_table_matches_r_value():
     table = log_r_table(300, INFINITE)
     assert table[0] == 0.0
+    assert log_r_table(0, INFINITE).tolist() == log_r_table(0, LatticeSpec.finite(10)).tolist() == [0.0]
     for N in (1, 2, 17, 150, 300):
         assert table[N] == pytest.approx(r_value(N, INFINITE).log_abs, abs=1e-12)
     lat = LatticeSpec.finite(1026)
     table_f = log_r_table(400, lat)
     for N in (1, 40, 400):
         assert table_f[N] == pytest.approx(r_value(N, lat).log_abs, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [-3, "5", 2.0, None, True])
+def test_log_r_table_rejects_bad_sizes(n_max):
+    with pytest.raises(DomainError):
+        log_r_table(n_max, INFINITE)
 
 
 def test_domain_guards():
