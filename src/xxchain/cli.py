@@ -76,12 +76,12 @@ def _row_values(x_max, lattice, params):
     return np.array([asym_infinite(x, params).leading for x in range(1, x_max + 1)])
 
 
-def check_exact_agreement(table: RouteComparison, tol: float = AGREEMENT_TOL) -> list[str]:
-    """Exact-route pairs whose relative error exceeds tol, by x, then by pair."""
+def check_exact_agreement(table: RouteComparison) -> list[str]:
+    """Exact-route pairs whose relative error exceeds AGREEMENT_TOL, by x, then by pair."""
     pairs = [p for p in table.rel_errs if all(r in EXACT_ROUTES for r in p.split("-"))]
     errs = np.reshape([table.rel_errs[p] for p in pairs], (len(pairs), table.x.size)).T
     # NaN compares false against everything, so test for agreement
-    rows, cols = np.nonzero(~(errs <= tol))
+    rows, cols = np.nonzero(~(errs <= AGREEMENT_TOL))
     return [f"x={table.x[i]} {pairs[j]} relerr={errs[i, j]:.3e}" for i, j in zip(rows, cols)]
 
 

@@ -1,15 +1,17 @@
 """Exact spin-spin correlator G(x) = <sigma^+_{i+x} sigma^-_i> by two routes.
 
-Route one is the full x-by-x Wick determinant built from the free-fermion
-contraction kernel.  Each x-by-x matrix is the leading block of one X-by-X
-Toeplitz kernel, so :func:`correlator_det_sweep` gets every G(x), x <= X,
-from the pivots of a single elimination without pivoting; the per-x
-pivoted LU of :func:`correlator_det` is its oracle.  Route two evaluates
-the reduced N-by-N Cauchy determinant R_N in closed form as a product of
-sines, accumulated entirely in log space, and assembles
+Route one is the x-by-x Wick determinant of the free-fermion contraction
+kernel k.  k vanishes at even arguments, so the Wick matrix is two
+interleaved copies of the reduced Toeplitz matrix B[i, j] = k(2(i-j) - 1),
+whose leading minors are R_N, and
 
     G(2N)   = +1/2 R_N^2
     G(2N+1) = -1/2 R_N R_{N+1},       R_0 = 1.
+
+:func:`correlator_det_sweep` gets every G(x), x <= X, from the pivots of one
+elimination without pivoting of the ceil(X/2)-square B; the per-x pivoted LU
+of the full Wick matrix, :func:`correlator_det`, is its oracle.  Route two
+evaluates R_N in closed form as a product of sines, in log space.
 
 Both routes work on a finite M-odd ring and in the thermodynamic limit and
 must agree to near machine precision; the diagonalization oracle in
@@ -23,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, SizeError
 from .greens import INFINITE, LatticeSpec
@@ -50,8 +53,8 @@ MAX_DET_SIZE = 4096
 # guard, finite-size --L-list 9999998 takes 0.26 s and 144 MB max RSS (0.28 s
 # and 146 MB with --x-frac 0.9) on a 2-core Xeon VM, median of 5 runs.
 MAX_RING_LENGTH = 10_000_000
-# Below this many columns the no-pivot elimination runs rank-1 updates.
-_LU_LEAF = 32
+# Columns per block of the no-pivot elimination.
+_LU_BLOCK = 32
 
 
 class Route(enum.Enum):
@@ -109,12 +112,14 @@ def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     return out
 
 
-def _wick_matrix(x: int, lattice: LatticeSpec) -> np.ndarray:
-    """The x-by-x Toeplitz matrix A[i, j] = k(i-j-1) of :func:`_wick_kernel`."""
-    # kernel values over the distinct arguments i - j - 1 in [-x, x-2]
-    vals = _wick_kernel(np.arange(-x, x - 1), lattice)
-    i = np.arange(x)
-    return vals[i[:, None] - i[None, :] + x - 1]
+def _kernel_toeplitz(n: int, step: int, lattice: LatticeSpec) -> np.ndarray:
+    """The n-by-n Toeplitz matrix T[i, j] = k(step (i-j) - 1) of :func:`_wick_kernel`.
+
+    step 1 gives the Wick matrix, step 2 the reduced matrix of R_n: a reversed
+    sliding window over the 2n - 1 kernel values, with no n^2 index array.
+    """
+    vals = _wick_kernel(step * np.arange(1 - n, n) - 1, lattice)
+    return sliding_window_view(vals, n)[:, ::-1].copy()
 
 
 def _check_det_size(x: int) -> None:
@@ -135,49 +140,49 @@ def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     _check_distance(x, lattice)
     _check_det_size(x)
     sign = 1.0 if x % 2 == 0 else -1.0
-    return 0.5 * sign * float(np.linalg.det(_wick_matrix(x, lattice)))
+    return 0.5 * sign * float(np.linalg.det(_kernel_toeplitz(x, 1, lattice)))
 
 
 def _lu_in_place(a: np.ndarray) -> None:
-    """Overwrite a (m-by-n, m >= n) with L (unit lower, below the diagonal) and U.
+    """Overwrite the square a with L (unit lower, below the diagonal) and U.
 
-    Elimination without pivoting, by recursive column split: factor the left
-    half, solve the unit-lower L11 for U12, subtract L21 U12 from the trailing
-    block and factor it.  Needs only numpy; scipy.linalg would cost ~0.35 s
-    to import.
+    Elimination without pivoting, left-looking in blocks of _LU_BLOCK columns
+    (Crout): two products bring a block's rows of U and columns of L up to
+    date with every earlier block, and a row and a column product per pivot
+    finish them inside the block, so no triangular solve is needed.  Needs
+    only numpy; scipy.linalg would cost ~0.35 s to import.
     """
     n = a.shape[1]
-    if n <= _LU_LEAF:
-        for k in range(n):
+    for k0 in range(0, n, _LU_BLOCK):
+        k1 = min(k0 + _LU_BLOCK, n)
+        a[k0:k1, k0:] -= a[k0:k1, :k0] @ a[:k0, k0:]
+        a[k1:, k0:k1] -= a[k1:, :k0] @ a[:k0, k0:k1]
+        for k in range(k0, k1):
+            a[k, k:] -= a[k, k0:k] @ a[k0:k, k:]
+            a[k + 1:, k] -= a[k + 1:, k0:k] @ a[k0:k, k]
             a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k, k + 1:])
-        return
-    h = n // 2
-    _lu_in_place(a[:, :h])
-    l11 = np.tril(a[:h, :h], -1) + np.eye(h)
-    a[:h, h:] = np.linalg.solve(l11, a[:h, h:])
-    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
-    _lu_in_place(a[h:, h:])
 
 
 def correlator_det_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
-    """G(x) for x = 1..x_max from one elimination of the x_max-by-x_max Wick matrix.
+    """G(x) for x = 1..x_max from one elimination of the reduced n-by-n matrix, n = ceil(x_max/2).
 
-    Each x-by-x Wick matrix of :func:`correlator_det` is the leading block of
-    the largest one, and its determinant, (-1)^x 2 G(x) = 2 |G(x)|, is
-    positive, so LU without pivoting exists and its pivots are the ratios of
-    successive leading minors.  G(x) is (-1)^x / 2 times the running product
-    of the first x pivots.  Every partial product is such a minor, in (0, 1],
-    so it can neither overflow nor underflow.  O(x_max^3) for all x at once,
-    against O(x_max^4) for per-x LU; no sine product is involved, so this
-    stays independent of :func:`correlator_sweep`.
+    The x-by-x Wick matrix of :func:`correlator_det` splits into its even and
+    odd rows and columns, the leading ceil(x/2)- and floor(x/2)-square blocks
+    of the reduced matrix of :func:`r_det`, so G(x) = (-1)^x/2 R_{x//2}
+    R_{(x+1)//2}.  Every leading minor R_k is positive, so LU without
+    pivoting exists, and the running product of its pivots gives R_1..R_n;
+    each R_k is in (0, 1], so nothing overflows or underflows.  x_max^3/12
+    flops and one n-by-n matrix for all x at once, against O(x_max^4) for
+    per-x LU; no sine product is involved, so this stays independent of
+    :func:`correlator_sweep`.
     """
     _check_distance(x_max, lattice)
     _check_det_size(x_max)
-    a = _wick_matrix(x_max, lattice)
-    _lu_in_place(a)
+    b = _kernel_toeplitz((x_max + 1) // 2, 2, lattice)
+    _lu_in_place(b)
+    r = np.concatenate(([1.0], np.cumprod(np.diagonal(b))))
     x = np.arange(1, x_max + 1)
-    return np.where(x % 2, -0.5, 0.5) * np.cumprod(np.diagonal(a))
+    return np.where(x % 2, -0.5, 0.5) * r[x // 2] * r[(x + 1) // 2]
 
 
 def _check_r_range(N: int, lattice: LatticeSpec) -> None:
@@ -192,19 +197,14 @@ def _check_r_range(N: int, lattice: LatticeSpec) -> None:
 
 
 def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
-    """R_N from the reduced N-by-N determinant with entries (-1)^(i-j) 2 G0(2i-2j-1).
+    """R_N from the reduced N-by-N Toeplitz determinant with entries 2 G0(2i-2j-1).
 
-    Serves as the independent oracle for :func:`r_value`; the sign convention
-    makes R_1 = 2 G0(1) > 0.
+    Serves as the independent oracle for :func:`r_value`; R_1 = 2 G0(1) > 0.
     """
     _check_r_range(N, lattice)
     if N > MAX_DET_SIZE // 2:
         raise SizeError(f"N={N} exceeds the dense-determinant guard {MAX_DET_SIZE // 2}")
-    d = np.arange(-(N - 1), N)
-    vals = np.where(d % 2, -1.0, 1.0) * _wick_kernel(2 * d - 1, lattice)
-    i = np.arange(N)
-    mat = vals[(i[:, None] - i[None, :]) + N - 1]
-    return float(np.linalg.det(mat))
+    return float(np.linalg.det(_kernel_toeplitz(N, 2, lattice)))
 
 
 # pi to extended precision; np.pi would carry its 1.2e-16 error into every factor

@@ -118,6 +118,24 @@ def test_barnes_matches_gamma_product():
     assert abs(log_r_barnes(10000) - log_r_gamma_product(10000)) <= 1e-7
 
 
+def test_barnes_never_reads_the_gamma_product(monkeypatch):
+    from xxchain import exact
+
+    Ns = [1, 2, 9, 10, 11, 500]
+    expected = [log_r_barnes(N) for N in Ns]
+
+    def forbidden(*args):
+        raise AssertionError("the Barnes route reached another ln R_N route")
+
+    for fn in vars(amplitude).values():  # no cached value may stand in for a call
+        getattr(fn, "cache_clear", lambda: None)()
+    for module, name in [(amplitude, "log_r_gamma_product"), (amplitude, "_gamma_series"),
+                         (amplitude, "log_r_table"), (exact, "_log_factors"),
+                         (exact, "log_r_table"), (exact, "r_value")]:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [log_r_barnes(N) for N in Ns] == expected
+
+
 def test_barnes_drift_to_ln_b():
     f1 = log_r_barnes(5000) + 0.25 * math.log(5000)
     f2 = log_r_barnes(10000) + 0.25 * math.log(10000)

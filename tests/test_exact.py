@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +271,9 @@ def test_wick_kernel_equals_scalar_g0(lat, d_max):
 @pytest.mark.parametrize("lat, x_max", [
     *[(LatticeSpec.finite(L), L - 1) for L in range(6, 63, 4)],
     (INFINITE, 300),
+    (LatticeSpec.finite(62), 30),
+    (INFINITE, 1),
+    (INFINITE, 299),
 ])
 def test_det_sweep_matches_per_x_det(lat, x_max):
     sweep = correlator_det_sweep(x_max, lat)
@@ -284,7 +288,7 @@ def test_det_sweep_against_mpmath(L):
     x_max = 450
     lat = INFINITE if L is None else LatticeSpec.finite(L)
     worst = _mp_max_relerr(correlator_det_sweep(x_max, lat), L, mp)
-    assert worst <= 1e-13  # 4.8e-14 on L = 1102 and 3.0e-14 on the infinite chain measured
+    assert worst <= 1e-13  # 4.6e-14 on L = 1102 and 2.7e-14 on the infinite chain measured
 
 
 def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
@@ -298,6 +302,17 @@ def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
     monkeypatch.setattr(exact, "log_r_table", forbidden)
     for (x_max, lat), values in zip(cases, expected):
         np.testing.assert_array_equal(correlator_det_sweep(x_max, lat), values)
+
+
+def test_det_sweep_holds_one_reduced_matrix():
+    # the reduced 512-square matrix is 2 MiB; 2.2 MiB measured, 16 for the 1024-square Wick matrix
+    tracemalloc.start()
+    try:
+        correlator_det_sweep(1024, INFINITE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * 512**2
 
 
 def test_det_sweep_guards():

@@ -148,12 +148,13 @@ LAYERS = {
         (1000, 3000, 10_000),
         _call(lambda xx, x: xx.exact.correlator_sweep(x, xx.INFINITE)),
         lambda x: _sweep_ref(None, x), 3e-15),
-    # the x-by-x Toeplitz matrix; its first row and column hold every kernel value
+    # the reduced X/2-square Toeplitz matrix the det sweep factors; its first row and
+    # column hold every kernel value at odd d in [1 - X, X - 3]
     "det.kernel": Layer(
         (1024, 2048, 4096),
-        _call(lambda xx, X: xx.exact._wick_matrix(X, xx.INFINITE),
-              lambda a: np.concatenate([a[0, ::-1], a[1:, 0]])[1::2]),
-        lambda X: [2 * _g0_mp(d, None) for d in range(1 - X, X - 1, 2)], 1e-15),
+        _call(lambda xx, X: xx.exact._kernel_toeplitz(X // 2, 2, xx.INFINITE),
+              lambda a: np.concatenate([a[0, ::-1], a[1:, 0]])),
+        lambda X: [2 * _g0_mp(d, None) for d in range(1 - X, X - 2, 2)], 1e-15),
     "det.sweep": Layer(
         (1024, 2048, 4096),
         _call(lambda xx, X: xx.exact.correlator_det_sweep(X, xx.INFINITE)),
