@@ -282,13 +282,20 @@ def test_det_sweep_matches_per_x_det(lat, x_max):
         assert rel(sweep[x - 1], correlator_det(x, lat)) <= 1e-12, x
 
 
-@pytest.mark.parametrize("L", [1102, None])
+@pytest.mark.parametrize("L", [1102, 1202, None])
 def test_det_sweep_against_mpmath(L):
     mp = pytest.importorskip("mpmath")
     x_max = 450
     lat = INFINITE if L is None else LatticeSpec.finite(L)
     worst = _mp_max_relerr(correlator_det_sweep(x_max, lat), L, mp)
-    assert worst <= 1e-13  # 4.6e-14 on L = 1102 and 2.7e-14 on the infinite chain measured
+    assert worst <= 1e-15  # 3.1e-16 on L = 1102, 2.6e-16 on L = 1202, 3.0e-16 on the infinite chain
+
+
+@pytest.mark.parametrize("L", [62, 1202, 4094])
+def test_det_sweep_is_reflection_symmetric(L):
+    # G(L - x) = G(x) on a ring; the recursion reaches the two ends by different steps
+    g = correlator_det_sweep(L - 1, LatticeSpec.finite(L))
+    assert np.max(np.abs(g[::-1] / g - 1)) <= 1e-14  # 0, 4.4e-16 and 3.1e-15 measured
 
 
 def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
@@ -305,14 +312,16 @@ def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
 
 
 def test_det_sweep_holds_one_reduced_matrix():
-    # the reduced 512-square matrix is 2 MiB; 2.2 MiB measured, 16 for the 1024-square Wick matrix
-    tracemalloc.start()
-    try:
-        correlator_det_sweep(1024, INFINITE)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 8 * 512**2
+    # the recursion holds O(X) longdouble vectors, about 120 bytes per x measured; at X = 4096
+    # the reduced matrix alone would be 32 MiB, and at X = 1024 the Wick matrix 8 MiB
+    for x_max, bound in ((1024, 2 * 8 * 512**2), (4096, 256 * 4096)):
+        tracemalloc.start()
+        try:
+            correlator_det_sweep(x_max, INFINITE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, x_max
 
 
 def test_det_sweep_guards():
