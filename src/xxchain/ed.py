@@ -12,11 +12,15 @@ k = pi momentum sector, where it lies for the +1 hop (translation eigenvalue
 against 48,620 in the full sector).  That sector's Hamiltonian is kept as
 per-bond triplets and solved by a small numpy Lanczos; its vector is polished
 by a short Lanczos run in ``np.longdouble`` and expanded to full-sector
-amplitudes, which are then exactly antisymmetric under translation.  M-even
-rings, admitted with ``allow_even_m``, and the spectral gap are solved in the
-full sector with a scipy sparse matrix and ARPACK (``eigsh``), which also
-stays the oracle of the k = pi route: an independent eigensolver on an
-independent basis.  Only that path imports scipy.
+amplitudes, which are then exactly antisymmetric under translation.  Both
+runs take the Ritz pair of their tridiagonal matrix from ``eigvalsh`` and an
+O(m) inverse iteration, on one thread: a dense ``eigh`` would call ``dgemm``
+and leave BLAS threads spinning after the solve.  M-even rings, admitted with
+``allow_even_m``, and the spectral gap are solved in the full sector with a
+scipy sparse matrix and ARPACK (``eigsh``), which also stays the oracle of the
+k = pi route: an independent eigensolver on an independent basis.  Only that
+path imports scipy.  Both eigensolvers start from the same integer-hash
+vector, :func:`_start_vector`.
 """
 
 from __future__ import annotations
@@ -41,9 +45,9 @@ __all__ = [
 
 MAX_ED_LENGTH = 18
 # Lanczos steps of the longdouble polish; at L = 18 they take the k = pi
-# residual |H c - E c| from 2.0e-14 to 1.6e-17 (16 steps reach the 1.5e-18 floor)
+# residual |H c - E c| from 3.3e-15 to 6.7e-18 (16 steps reach the 5.7e-18 floor)
 _POLISH_STEPS = 12
-# Krylov budget of the float64 k = pi Lanczos, which converges in 47 steps at
+# Krylov budget of the float64 k = pi Lanczos, which converges in 46 steps at
 # L = 18 and 59 at L = 22; the block of 64 vectors is the solve's traced peak
 _LANCZOS_STEPS = 64
 
@@ -139,14 +143,18 @@ def _hamiltonian(sector: SpinSector) -> scipy.sparse.csr_matrix:
 
 
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed-seed start vector of both eigensolvers, for run-to-run reproducibility.
+    """Fixed start vector of both eigensolvers, for run-to-run reproducibility.
 
-    ``eigsh`` starts from it in the full sector and :func:`_lanczos` in the
-    k = pi sector.  In the full sector a uniform vector would lie in k = 0,
-    orthogonal to the k = pi ground state, and leave the eigensolver to find
-    it through rounding alone.
+    Entry k is the multiplicative hash (k * 0x9E3779B97F4A7C15 mod 2^64) >> 11,
+    scaled to [-1/2, 1/2): the fractional parts of k times the golden ratio,
+    from integer arithmetic alone, with no generator to import.  ``eigsh``
+    starts from it in the full sector and :func:`_lanczos` in the k = pi
+    sector.  In the full sector a uniform vector would lie in k = 0, orthogonal
+    to the k = pi ground state, and leave the eigensolver to find it through
+    rounding alone.
     """
-    return np.random.default_rng(0).standard_normal(dim)
+    k = np.arange(dim, dtype=np.uint64)
+    return ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
 def _lowest_eigenpairs(H, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,16 +231,53 @@ def _apply(bonds: list, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """Lowest eigenpair ``(theta, y)``, |y| = 1, of the symmetric tridiagonal T, in alpha's dtype.
+
+    T has diagonal ``alpha`` and off-diagonal ``beta``.  theta starts from
+    ``np.linalg.eigvalsh`` of T rounded to float64, moved down by 4 eps |T| so
+    that the LDL^T pivots of T - theta are positive up to rounding.  Two
+    inverse-iteration sweeps from e_0, each an O(m) solve with those pivots,
+    give y: every eigenvector of an unreduced T has a nonzero first entry,
+    and each sweep shrinks the other eigenvectors' share by about
+    eps |T| / gap.  theta is then the Rayleigh quotient y^T T y.
+    """
+    a, b = alpha.astype(np.float64), beta.astype(np.float64)
+    w = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+    lam = alpha.dtype.type(w[0] - 4 * np.finfo(np.float64).eps * max(abs(w[0]), abs(w[-1])))
+    m, zero = len(alpha), alpha.dtype.type(0)
+    pivot, ratio = list(alpha - lam), [zero] * m
+    for i, b in enumerate(beta, 1):
+        ratio[i] = r = b / pivot[i - 1]
+        pivot[i] -= r * b
+    y = [alpha.dtype.type(1)] + [zero] * (m - 1)
+    for _ in range(2):
+        for i in range(1, m):
+            y[i] -= ratio[i] * y[i - 1]
+        y[-1] /= pivot[-1]
+        for i in range(m - 2, -1, -1):
+            y[i] = y[i] / pivot[i] - ratio[i + 1] * y[i + 1]
+    y = np.array(y)
+    y /= np.sqrt(y @ y)
+    ty = alpha * y
+    ty[:-1] += beta * y[1:]
+    ty[1:] += beta * y[:-1]
+    return y @ ty, y
+
+
 def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
     """Lowest eigenpair of H by Lanczos from :func:`_start_vector`: ``(energy, vector, steps)``.
 
     The Krylov block is allocated once for ``min(dim, _LANCZOS_STEPS)``
-    vectors and reorthogonalised in full, twice per step.  The run stops when
-    the lowest Ritz pair's residual |beta_m y_m| reaches machine precision
-    or when the Krylov space is exhausted, where the pair is exact.  The
-    free-fermion spectrum is degenerate, so one start vector spans only as
-    many dimensions as H has distinct eigenvalues: beta_m falls to rounding
-    after 3 steps at L = 6 and 11 at L = 10 (4 and 26 states).
+    vectors and reorthogonalised in full, twice per step.  Each step takes the
+    lowest Ritz pair of the tridiagonal T from :func:`_lowest_ritz_pair`; no
+    dense eigenvector solve, whose divide and conquer calls ``dgemm`` from
+    m = 26 on and leaves BLAS threads spinning.  The run stops when the pair's
+    residual |beta_m y_m| reaches machine precision or when the Krylov space
+    is exhausted, where the pair is exact.  The free-fermion spectrum is
+    degenerate, so one start vector spans only as many dimensions as H has
+    distinct eigenvalues: beta_m falls to rounding after 3 steps at L = 6 and
+    11 at L = 10 (4 and 26 states).
     """
     steps = min(dim, _LANCZOS_STEPS)
     Q = np.empty((steps, dim))
@@ -245,10 +290,9 @@ def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
         for _ in range(2):
             w -= (Q[:m] @ w) @ Q[:m]
         beta[m - 1] = np.linalg.norm(w)
-        T = np.diag(alpha[:m]) + np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
-        theta, Y = np.linalg.eigh(T)
-        if m == dim or abs(beta[m - 1] * Y[-1, 0]) <= np.finfo(np.float64).eps * abs(theta[0]):
-            return float(theta[0]), Y[:, 0] @ Q[:m], m
+        theta, y = _lowest_ritz_pair(alpha[:m], beta[: m - 1])
+        if m == dim or abs(beta[m - 1] * y[-1]) <= np.finfo(np.float64).eps * abs(theta):
+            return float(theta), y @ Q[:m], m
         if m < steps:
             Q[m] = w / beta[m - 1]
     raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
@@ -257,12 +301,9 @@ def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
 def _polish(bonds: list, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
     """Refine an accurate lowest eigenvector v of H by one Lanczos run in longdouble.
 
-    The Krylov basis is reorthogonalised in full.  The lowest eigenpair of
-    the small tridiagonal T is found by factoring T - lam from the bottom
-    row up: the pivots d_j of the trailing blocks are positive below the
-    spectrum of T[1:, 1:], lam solves d_0(lam) = 0 by fixed-point iteration
-    (its slope is (beta_0/d_1)^2, tiny for an accurate v), and the vector
-    follows as y_{j+1} = -beta_j y_j / d_{j+1} from y_0 = 1.
+    The Krylov basis is reorthogonalised in full, and the lowest eigenpair of
+    its longdouble tridiagonal T comes from :func:`_lowest_ritz_pair`, as in
+    :func:`_lanczos`.
     """
     q = v.astype(np.longdouble)
     basis = [q / np.sqrt(q @ q)]
@@ -279,17 +320,8 @@ def _polish(bonds: list, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
             break
         beta.append(b)
         basis.append(w / b)
-    m = len(alpha)
-    lam = alpha[0]
-    d = [np.longdouble(0)] * m
-    for _ in range(3):
-        for j in range(m - 1, 0, -1):
-            d[j] = alpha[j] - lam - (beta[j] ** 2 / d[j + 1] if j + 1 < m else 0)
-        lam = alpha[0] - (beta[0] ** 2 / d[1] if m > 1 else 0)
-    y = [np.longdouble(1)]
-    for j in range(1, m):
-        y.append(-beta[j - 1] * y[-1] / d[j])
-    c = np.array(y) @ np.array(basis)
+    lam, y = _lowest_ritz_pair(*(np.array(t, dtype=np.longdouble) for t in (alpha, beta)))
+    c = y @ np.array(basis)
     return lam, c / np.sqrt(c @ c)
 
 
@@ -325,7 +357,7 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     then expansion to every state of each orbit.  Against the full-sector
     solve the energy and every G(x) agree to 1e-14 at L <= 18.  M-even
     rings are solved in the full sector.  Either way the eigensolver is
-    Lanczos from a fixed-seed start vector, at every dimension: the numpy
+    Lanczos from one fixed start vector, at every dimension: the numpy
     :func:`_lanczos` in the k = pi sector, ARPACK (``eigsh``) in the full one.
     """
     _check_length(L, allow_even_m)

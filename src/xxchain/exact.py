@@ -140,7 +140,8 @@ def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     (including the diagonal argument 0, where the density term cancels
     2 G0(0) = 1).  The overall factor (-1)^x / 2 converts the determinant
     over the plain sine kernel to the physical staggered correlator.  This
-    scalar form is the test oracle for :func:`correlator_det_sweep`.
+    scalar form is the test oracle for :func:`correlator_det_sweep` and for the
+    x = L-1 cell that :func:`correlator` and :func:`correlator_sweep` take from it.
     """
     _check_distance(x, lattice)
     _check_det_size(x)
@@ -343,7 +344,7 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     the convention R_0 = 1 (forced by the x = 1 value): with r[i] = log
     R_{i//2}, G(x) = (-1)^x/2 exp(r[x] + r[x+1]).  On a finite ring the single
     distance x = L-1 needs R_{L/2}, which the sine product cannot reach; that
-    entry is the Wick determinant.
+    entry is the last cell of :func:`correlator_det_sweep`.
     """
     _check_distance(x_max, lattice)
     det_last = lattice.is_finite and x_max == lattice.length - 1
@@ -353,11 +354,11 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     np.exp(g, out=g)
     g[0::2] *= -0.5
     g[1::2] *= 0.5
-    return np.append(g, correlator_det(x_max, lattice)) if det_last else g
+    return np.append(g, correlator_det_sweep(x_max, lattice)[-1]) if det_last else g
 
 
 def correlator(x: int, lattice: LatticeSpec = INFINITE) -> CorrelatorSample:
-    """G(x) from two entries of one :func:`log_r_table`; the Wick determinant at x = L-1.
+    """G(x) from two entries of one :func:`log_r_table`; the det sweep's last cell at x = L-1.
 
     With r = log_r_table((x+1)//2), G(x) = (-1)^x/2 exp(r[x//2] + r[(x+1)//2]):
     the arithmetic of the last entry of :func:`correlator_sweep`, which it
@@ -365,7 +366,8 @@ def correlator(x: int, lattice: LatticeSpec = INFINITE) -> CorrelatorSample:
     """
     _check_distance(x, lattice)
     if lattice.is_finite and x == lattice.length - 1:
-        return CorrelatorSample(x=x, value=correlator_det(x, lattice), route=Route.DET)
+        value = float(correlator_det_sweep(x, lattice)[-1])
+        return CorrelatorSample(x=x, value=value, route=Route.DET)
     r = log_r_table((x + 1) // 2, lattice)
     value = float(np.exp(r[x // 2] + r[(x + 1) // 2])) * (-0.5 if x % 2 else 0.5)
     return CorrelatorSample(x=x, value=value, route=Route.PRODUCT)

@@ -14,4 +14,12 @@ def test_every_layer_at_its_smallest_size():
         record = bench_layers.measure(xxchain, name, layer.sizes[0])
         assert "absent" not in record, (name, record)
         assert record["median_s"] > 0 and record["peak_mb"] > 0, (name, record)
+        assert record["cpu_median_s"] > 0 and record["idle_cpu_s"] >= 0, (name, record)
         assert record["max_relerr"] <= layer.bound, (name, record)
+
+
+def test_ed_eigensolver_leaves_no_thread_spinning():
+    # a dense eigh of a 26- to 47-square T woke a BLAS thread that burnt about
+    # 0.1 s of CPU in the sleep after the L = 18 solves
+    record = bench_layers.measure(xxchain, "ed.eigensolver", 18)
+    assert record["idle_cpu_s"] <= 0.02, record

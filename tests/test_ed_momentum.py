@@ -199,6 +199,20 @@ def test_k_pi_solve_reproducible():
     assert np.max(np.abs(psi_a - psi_b)) <= 1e-14
 
 
+def test_k_pi_solve_calls_no_dense_eigh(monkeypatch):
+    # the divide and conquer of np.linalg.eigh calls dgemm from m = 26 on,
+    # which leaves BLAS threads spinning after the solve
+    L = 18
+    energy = ed_ground_state(L)[0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh was called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    _momentum_ground_state.cache_clear()
+    assert abs(ed_ground_state(L)[0] - energy) <= 1e-14
+
+
 @pytest.mark.parametrize(
     "cache, calls",
     [

@@ -112,6 +112,17 @@ def test_fallback_at_last_distance():
     assert correlator(7, lat).route is Route.PRODUCT
 
 
+@pytest.mark.parametrize("L", [18, 62, 1102, 1202])
+def test_last_ring_cell_is_the_det_sweep(L):
+    # G(L-1) = G(1) by reflection: the det sweep's cell is within 4.4e-16 of the
+    # product route's G(1), the dense float64 oracle 5.3e-14 off at L = 1102
+    lat = LatticeSpec.finite(L)
+    last = correlator_det_sweep(L - 1, lat)[-1]
+    assert correlator(L - 1, lat).value == correlator_sweep(L - 1, lat)[-1] == last
+    assert rel(last, correlator(1, lat).value) <= 1e-15
+    assert rel(last, correlator_det(L - 1, lat)) <= 1e-13
+
+
 def test_log_product_reconstruction():
     lp = r_value(7, INFINITE)
     assert math.isfinite(lp.log_abs)

@@ -8,12 +8,14 @@ PARENT_SRC is the ``src`` directory of the commit to compare against, for
 example from ``git archive``.  OUT.json holds:
 
 * ``layers``: per entry of :data:`LAYERS`, size and side, the median
-  in-process time, the ``tracemalloc`` peak of one call and the max relative
-  error against ``bench/reference.py``, with ``time_ratio``, change over
-  parent.  Each layer runs :func:`side` in one process per side, the sides
-  in turn first.  A layer whose callable raises ``AttributeError`` or
-  ``TypeError`` on a side, such as a private function renamed since, is
-  ``absent`` there, with the message.
+  in-process time (``median_s``) and process CPU of every thread
+  (``cpu_median_s``) per call, the CPU the process burns in a sleep after the
+  calls (``idle_cpu_s``: a thread pool left spinning), the ``tracemalloc``
+  peak of one call and the max relative error against ``bench/reference.py``,
+  with ``time_ratio``, change over parent.  Each layer runs :func:`side` in
+  one process per side, the sides in turn first.  A layer whose callable
+  raises ``AttributeError`` or ``TypeError`` on a side, such as a private
+  function renamed since, is ``absent`` there, with the message.
 * ``cli``: wall time, CPU time and peak RSS of ``correlator``, ``constants``
   and ``finite-size`` run from each ``src``, with ``spawner_rss_mb``, this
   process's own peak RSS at the spawn: Linux carries it into the child's
@@ -55,6 +57,8 @@ SIDES = ("parent", "change")
 CLI_PAIRS = 8
 # timed calls per layer and size: at least MIN_RUNS, more while they take under RUN_BUDGET_S
 MIN_RUNS, MAX_RUNS, RUN_BUDGET_S = 3, 51, 0.5
+# sleep after the timed calls; CPU burnt in it is threads left spinning, such as a BLAS pool
+IDLE_S = 0.2
 
 
 class Layer(NamedTuple):
@@ -178,16 +182,21 @@ LAYERS = {
 
 
 def measure(xx, name: str, size) -> dict:
-    """Median time, tracemalloc peak and max relerr of layer ``name`` at ``size`` on ``xx``."""
+    """Median time and process CPU per call, CPU burnt in an :data:`IDLE_S` sleep after the
+    calls, tracemalloc peak and max relerr of layer ``name`` at ``size`` on ``xx``."""
     layer = LAYERS[name]
     try:
         run, values = layer.prepare(xx, size)
         result = run()  # warm-up: lazy imports and first-call allocations stay out
-        times = []
+        times, cpu = [], []
         while len(times) < MIN_RUNS or (len(times) < MAX_RUNS and sum(times) < RUN_BUDGET_S):
-            t0 = time.perf_counter()
+            t0, c0 = time.perf_counter(), time.process_time()
             run()
             times.append(time.perf_counter() - t0)
+            cpu.append(time.process_time() - c0)
+        c0 = time.process_time()
+        time.sleep(IDLE_S)
+        idle = time.process_time() - c0
         tracemalloc.start()
         try:
             run()
@@ -201,6 +210,7 @@ def measure(xx, name: str, size) -> dict:
         refs = layer.reference(size)
     worst = max(relerr(v, r) for v, r in zip(got, refs, strict=True))
     return {"size": size, "median_s": statistics.median(times), "runs": len(times),
+            "cpu_median_s": statistics.median(cpu), "idle_cpu_s": idle,
             "peak_mb": peak / 2**20, "max_relerr": worst}
 
 
@@ -308,8 +318,9 @@ def main(out: str, parent_src: str, seeds: list[int]) -> int:
     doc = {
         "command": f"PYTHONPATH=src python tools/bench_layers.py {out} PARENT_SRC"
                    + "".join(f" {s}" for s in seeds),
-        "what": "per layer and size, both sides' median time, tracemalloc peak and max relerr "
-                "against bench/reference.py; CLI and bench/run.py runs in alternating pairs",
+        "what": "per layer and size, both sides' median time and CPU per call, idle CPU after "
+                "the calls, tracemalloc peak and max relerr against bench/reference.py; CLI "
+                "and bench/run.py runs in alternating pairs",
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "mpmath": mp.__version__, "nproc": os.cpu_count(), "cpu": cpu,
                 "longdouble": f"{np.finfo(np.longdouble).nmant + 1}-bit mantissa"},
