@@ -3,6 +3,11 @@
 Exit codes: 0 success, 1 internal numerical failure (exact routes disagree
 beyond tolerance, or the constants routes spread too far), 2 usage error,
 including an ``--out`` that cannot be written.
+
+Start-up: every command runs on one thread, so this module sets
+``OPENBLAS_NUM_THREADS=1`` before numpy first loads, unless the caller has set
+it; ``import xxchain`` itself is lazy and loads no numpy.  The pin saves the
+CPU that an idle OpenBLAS pool would spin, not wall time.
 """
 
 from __future__ import annotations
@@ -10,6 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+# numpy's OpenBLAS starts a worker per core when it loads, and reads the count
+# only then.  Every command runs single-threaded, yet on a 2-core VM the idle
+# pool spins for about 0.13 s of CPU per process.  A value the caller set wins;
+# ``import xxchain`` loads no numpy, so this is the one place that sets it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -120,7 +131,10 @@ def cmd_correlator(args, parser) -> int:
     columns = {}
     if "det" in routes:
         columns["det"] = correlator_det_sweep(x_max, lattice)
-    if "product" in routes:
+    if fallback and "det" in columns:
+        # the x = L-1 product cell is the det sweep's last cell: take it from the det column
+        columns["product"] = np.append(correlator_sweep(x_max - 1, lattice), columns["det"][-1])
+    elif "product" in routes:
         columns["product"] = correlator_sweep(x_max, lattice)
     if "ed" in routes:
         columns["ed"] = ed_correlator_sweep(lattice.length, x_max)

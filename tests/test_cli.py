@@ -5,11 +5,13 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import xxchain
-from xxchain import cli, ed
+from xxchain import cli, ed, exact
 from xxchain.cli import _next_admissible, check_exact_agreement, main
-from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH
+from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH, correlator_sweep
+from xxchain.greens import LatticeSpec
 from xxchain.tables import RouteComparison, comparison_from_csv
 
 
@@ -337,21 +339,45 @@ def test_product_det_fallback_is_reported(capsys):
     assert err == ""
 
 
-def test_import_leaves_scipy_unloaded():
+def _fresh(probe, blas_threads=None):
+    """Run ``probe`` in a fresh interpreter on this ``src``, with OPENBLAS_NUM_THREADS set to
+    ``blas_threads`` or unset (importing ``xxchain.cli`` here has set it in this process)."""
     src = os.path.dirname(os.path.dirname(xxchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, xxchain; sys.exit(int('scipy' in sys.modules))"
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+def test_import_leaves_scipy_unloaded():
+    # and numpy, and os.environ as it was: the package namespace is lazy
+    probe = ("import os, sys; env = dict(os.environ); import xxchain; "
+             "print(*sorted({'scipy', 'numpy'} & set(sys.modules)), os.environ == env)")
+    done = _fresh(probe)
+    assert done.stdout.split() == ["True"], done.stdout + done.stderr
 
 
 def _assert_exits_0_without(argv, modules=("scipy",)):
     """Run ``main(argv)`` in a fresh interpreter: it must return 0 and leave ``modules`` unimported."""
-    src = os.path.dirname(os.path.dirname(xxchain.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (f"import sys; from xxchain.cli import main; code = main({argv!r}); "
              f"print(code, *sorted(set({modules!r}) & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = _fresh(probe)
     assert done.stdout.split() == ["0"], done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_cli_pins_one_blas_thread_unless_the_caller_sets_one(caller):
+    # read from the loaded OpenBLAS itself; it caps the count at the cores this process may use
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    probe = (f"import sys; from xxchain.cli import main; sys.path.insert(0, {bench!r}); "
+             "from run import _blas_threads; print(_blas_threads())")
+    done = _fresh(probe, caller)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.split() == ["None"]:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread-count getter")
+    expected = 1 if caller is None else min(int(caller), len(os.sched_getaffinity(0)))
+    assert done.stdout.split() == [str(expected)]
 
 
 def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
@@ -380,3 +406,24 @@ def test_ed_column_is_the_sweep(capsys, monkeypatch):
     table = comparison_from_csv(out)
     assert table.x.tolist() == list(range(1, 14))
     assert table.rel_errs["ed-det"].max() <= 1e-12
+
+
+def test_det_and_product_columns_share_one_det_sweep(capsys, monkeypatch):
+    # the product cell at x = L-1 is the det sweep's last cell, which the det column holds
+    calls = []
+    sweep = exact.correlator_det_sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(cli, "correlator_det_sweep", counted)
+    monkeypatch.setattr(exact, "correlator_det_sweep", counted)
+    code, out, _ = run(["correlator", "--L", "62", "--x-max", "61", "--routes", "det,product"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    table = comparison_from_csv(out)
+    det, product = table.values
+    assert product.tolist() == correlator_sweep(61, LatticeSpec(62)).tolist()
+    assert product[-1] == det[-1] == sweep(61, LatticeSpec(62))[-1]

@@ -16,10 +16,11 @@ example from ``git archive``.  OUT.json holds:
   one process per side, the sides in turn first.  A layer whose callable
   raises ``AttributeError`` or ``TypeError`` on a side, such as a private
   function renamed since, is ``absent`` there, with the message.
-* ``cli``: wall time, CPU time and peak RSS of ``correlator``, ``constants``
-  and ``finite-size`` run from each ``src``, with ``spawner_rss_mb``, this
-  process's own peak RSS at the spawn: Linux carries it into the child's
-  ``ru_maxrss``, so it is a floor under ``peak_rss_mb``.
+* ``cli``: wall time, CPU time and peak RSS of the inf-sweep and ed-oracle
+  ``correlator`` commands, ``constants`` and ``finite-size`` run from each
+  ``src``, with ``spawner_rss_mb``, this process's own peak RSS at the spawn:
+  Linux carries it into the child's ``ru_maxrss``, so it is a floor under
+  ``peak_rss_mb``.
 * ``end_to_end`` (only with SEEDs): one ``bench/run.py --trace 0`` pair per
   seed and workload, the ``bench/`` next to PARENT_SRC against this tree's.
 
@@ -270,11 +271,13 @@ def pairs(label: str, sample: Callable, count: int, keys) -> dict:
 
 
 def cli_commands() -> dict[str, list[str]]:
-    """The ed-oracle command, constants, and finite-size at bench/run.py's seed 1 lengths."""
+    """The inf-sweep and ed-oracle commands, constants, and finite-size at bench/run.py's seed 1
+    lengths."""
     from run import constants_large_n
 
     steps = constants_large_n(SimpleNamespace(prepare_single=lambda x, L: None), random.Random(1), 1.0)
-    return {"correlator": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
+    return {"inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
+            "correlator": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
             "constants": ["constants"],
             "finite-size": list(steps[-1].argv)}
 
