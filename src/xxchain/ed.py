@@ -10,17 +10,18 @@ On the M-odd rings of the closed formulas the ground state is found in the
 k = pi momentum sector, where it lies for the +1 hop (translation eigenvalue
 -1): one state per translation orbit, C(L, L/2)/L of them (2,704 at L = 18
 against 48,620 in the full sector).  That sector's Hamiltonian is kept as
-per-bond triplets and solved by a small numpy Lanczos; its vector is polished
-by a short Lanczos run in ``np.longdouble`` and expanded to full-sector
-amplitudes, which are then exactly antisymmetric under translation.  Both
-runs take the Ritz pair of their tridiagonal matrix from ``eigvalsh`` and an
-O(m) inverse iteration, on one thread: a dense ``eigh`` would call ``dgemm``
-and leave BLAS threads spinning after the solve.  M-even rings, admitted with
-``allow_even_m``, and the spectral gap are solved in the full sector with a
-scipy sparse matrix and ARPACK (``eigsh``), which also stays the oracle of the
-k = pi route: an independent eigensolver on an independent basis.  Only that
-path imports scipy.  Both eigensolvers start from the same integer-hash
-vector, :func:`_start_vector`.
+per-bond triplets and solved by one small numpy Lanczos loop, run in two
+precisions: in float64 from a fixed start vector, then for a few steps in
+``np.longdouble`` from the float64 vector.  The longdouble vector is expanded
+to full-sector amplitudes, which are then exactly antisymmetric under
+translation.  Each step takes the Ritz pair of the tridiagonal matrix from
+``eigvalsh`` and an O(m) inverse iteration, on one thread: a dense ``eigh``
+would call ``dgemm`` and leave BLAS threads spinning after the solve.
+M-even rings, admitted with ``allow_even_m``, and the spectral gap are
+solved in the full sector with a scipy sparse matrix and ARPACK (``eigsh``),
+which also stays the oracle of the k = pi route: an independent eigensolver
+on an independent basis.  Only that path imports scipy.  Both eigensolvers
+start from the same integer-hash vector, :func:`_start_vector`.
 """
 
 from __future__ import annotations
@@ -44,11 +45,13 @@ __all__ = [
 ]
 
 MAX_ED_LENGTH = 18
-# Lanczos steps of the longdouble polish; at L = 18 they take the k = pi
-# residual |H c - E c| from 3.3e-15 to 6.7e-18 (16 steps reach the 5.7e-18 floor)
+# step budget of the longdouble k = pi Lanczos, which converges in 3, 8 and 11
+# steps at L = 6, 10 and 14 and runs all 12 at L = 18, taking the residual
+# |H c - E c| from 3.3e-15 to 6.7e-18 (16 steps reach the 5.7e-18 floor)
 _POLISH_STEPS = 12
-# Krylov budget of the float64 k = pi Lanczos, which converges in 46 steps at
-# L = 18 and 59 at L = 22; the block of 64 vectors is the solve's traced peak
+# step budget of the float64 k = pi Lanczos, which converges in 3, 11, 34 and
+# 46 steps at L = 6, 10, 14 and 18 and 59 at L = 22; the block of 64 vectors
+# is the solve's traced peak
 _LANCZOS_STEPS = 64
 
 
@@ -148,32 +151,27 @@ def _start_vector(dim: int) -> np.ndarray:
     Entry k is the multiplicative hash (k * 0x9E3779B97F4A7C15 mod 2^64) >> 11,
     scaled to [-1/2, 1/2): the fractional parts of k times the golden ratio,
     from integer arithmetic alone, with no generator to import.  ``eigsh``
-    starts from it in the full sector and :func:`_lanczos` in the k = pi
-    sector.  In the full sector a uniform vector would lie in k = 0, orthogonal
-    to the k = pi ground state, and leave the eigensolver to find it through
-    rounding alone.
+    starts from it in the full sector and the float64 :func:`_lanczos` run in
+    the k = pi sector.  In the full sector a uniform vector would lie in
+    k = 0, orthogonal to the k = pi ground state, and leave the eigensolver to
+    find it through rounding alone.
     """
     k = np.arange(dim, dtype=np.uint64)
     return ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _lowest_eigenpairs(H, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenvalues, ascending, and their vectors as columns, by Lanczos."""
-    import scipy.sparse.linalg
-
-    w, v = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=_start_vector(H.shape[0]))
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
 @_cached_per_length
 def _lowest_pair(L: int):
-    """Two lowest eigenvalues and the ground-state vector in the full sector."""
-    w, v = _lowest_eigenpairs(_hamiltonian(spin_sector(L, True)), 2)
-    psi = np.ascontiguousarray(v[:, 0])
+    """Two lowest eigenvalues and the ground-state vector in the full sector, by ARPACK Lanczos."""
+    import scipy.sparse.linalg
+
+    H = _hamiltonian(spin_sector(L, True))
+    w, v = scipy.sparse.linalg.eigsh(H, k=2, which="SA", v0=_start_vector(H.shape[0]))
+    lowest, second = np.argsort(w)
+    psi = np.ascontiguousarray(v[:, lowest])
     psi /= np.linalg.norm(psi)
     psi.setflags(write=False)
-    return float(w[0]), float(w[1]), psi
+    return float(w[lowest]), float(w[second]), psi
 
 
 def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,7 +203,7 @@ def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> list:
     to element (b, a), with P = ``np.bincount(orbit)`` from :func:`_orbits`.
     H is kept as one ``(a, b, d)`` triple of arrays per bond, H[b, a] += d;
     ``a`` holds no repeats within a bond, which :func:`_apply` relies on.
-    Entries are longdouble, for the polish.
+    Entries are longdouble, for the longdouble Lanczos run.
     """
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
@@ -265,24 +263,27 @@ def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     return y @ ty, y
 
 
-def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
-    """Lowest eigenpair of H by Lanczos from :func:`_start_vector`: ``(energy, vector, steps)``.
+def _lanczos(bonds: list, q: np.ndarray, steps: int) -> tuple:
+    """Lowest eigenpair of H by Lanczos from q, in q's dtype: ``(energy, vector, steps, converged)``.
 
-    The Krylov block is allocated once for ``min(dim, _LANCZOS_STEPS)``
-    vectors and reorthogonalised in full, twice per step.  Each step takes the
-    lowest Ritz pair of the tridiagonal T from :func:`_lowest_ritz_pair`; no
-    dense eigenvector solve, whose divide and conquer calls ``dgemm`` from
-    m = 26 on and leaves BLAS threads spinning.  The run stops when the pair's
-    residual |beta_m y_m| reaches machine precision or when the Krylov space
-    is exhausted, where the pair is exact.  The free-fermion spectrum is
-    degenerate, so one start vector spans only as many dimensions as H has
-    distinct eigenvalues: beta_m falls to rounding after 3 steps at L = 6 and
-    11 at L = 10 (4 and 26 states).
+    The one k = pi Lanczos, run twice by :func:`_momentum_ground_state`: in
+    float64 from :func:`_start_vector`, then in longdouble from the float64
+    vector, on bonds of the same dtype.  The Krylov block is allocated once for
+    ``min(len(q), steps)`` vectors and reorthogonalised in full, twice per
+    step.  Each step takes the lowest Ritz pair of the tridiagonal T from
+    :func:`_lowest_ritz_pair`; no dense eigenvector solve, whose divide and
+    conquer calls ``dgemm`` from m = 26 on and leaves BLAS threads spinning.
+    The run has converged when the pair's residual |beta_m y_m| reaches the
+    dtype's eps |theta| or when the Krylov space is exhausted, where the pair
+    is exact; otherwise it stops after ``steps`` steps.  The free-fermion
+    spectrum is degenerate, so one start vector spans only as many dimensions
+    as H has distinct eigenvalues: beta_m falls to rounding after 3 steps at
+    L = 6 and 11 at L = 10 (4 and 26 states).
     """
-    steps = min(dim, _LANCZOS_STEPS)
-    Q = np.empty((steps, dim))
-    alpha, beta = np.zeros(steps), np.zeros(steps)
-    q = _start_vector(dim)
+    dim = len(q)
+    steps = min(dim, steps)
+    Q = np.empty((steps, dim), dtype=q.dtype)
+    alpha, beta = np.zeros(steps, dtype=q.dtype), np.zeros(steps, dtype=q.dtype)
     Q[0] = q / np.linalg.norm(q)
     for m in range(1, steps + 1):
         w = _apply(bonds, Q[m - 1])
@@ -291,38 +292,10 @@ def _lanczos(bonds: list, dim: int) -> tuple[float, np.ndarray, int]:
             w -= (Q[:m] @ w) @ Q[:m]
         beta[m - 1] = np.linalg.norm(w)
         theta, y = _lowest_ritz_pair(alpha[:m], beta[: m - 1])
-        if m == dim or abs(beta[m - 1] * y[-1]) <= np.finfo(np.float64).eps * abs(theta):
-            return float(theta), y @ Q[:m], m
-        if m < steps:
-            Q[m] = w / beta[m - 1]
-    raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
-
-
-def _polish(bonds: list, v: np.ndarray) -> tuple[np.longdouble, np.ndarray]:
-    """Refine an accurate lowest eigenvector v of H by one Lanczos run in longdouble.
-
-    The Krylov basis is reorthogonalised in full, and the lowest eigenpair of
-    its longdouble tridiagonal T comes from :func:`_lowest_ritz_pair`, as in
-    :func:`_lanczos`.
-    """
-    q = v.astype(np.longdouble)
-    basis = [q / np.sqrt(q @ q)]
-    alpha, beta = [], []
-    steps = min(_POLISH_STEPS, len(v))
-    for _ in range(steps):
-        w = _apply(bonds, basis[-1])
-        alpha.append(basis[-1] @ w)
-        Q = np.array(basis)
-        w -= (Q @ w) @ Q
-        w -= (Q @ w) @ Q
-        b = np.sqrt(w @ w)
-        if len(alpha) == steps or b == 0:
-            break
-        beta.append(b)
-        basis.append(w / b)
-    lam, y = _lowest_ritz_pair(*(np.array(t, dtype=np.longdouble) for t in (alpha, beta)))
-    c = y @ np.array(basis)
-    return lam, c / np.sqrt(c @ c)
+        converged = m == dim or abs(beta[m - 1] * y[-1]) <= np.finfo(q.dtype).eps * abs(theta)
+        if converged or m == steps:
+            return theta, y @ Q[:m], m, converged
+        Q[m] = w / beta[m - 1]
 
 
 @_cached_per_length
@@ -337,8 +310,12 @@ def _momentum_ground_state(L: int):
     # carries one k = pi state
     leaders, orbit, phase = _orbits(sector)
     bonds = _momentum_hamiltonian(sector, leaders, orbit, phase)
-    _, v, _ = _lanczos([(a, b, d.astype(np.float64)) for a, b, d in bonds], len(leaders))
-    energy, c = _polish(bonds, v)
+    _, v, steps, converged = _lanczos(
+        [(a, b, d.astype(np.float64)) for a, b, d in bonds], _start_vector(len(leaders)), _LANCZOS_STEPS)
+    if not converged:
+        raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
+    energy, c, _, _ = _lanczos(bonds, v.astype(np.longdouble), _POLISH_STEPS)
+    c /= np.sqrt(c @ c)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
     psi_ld = c[orbit]
     psi_ld *= phase
@@ -353,7 +330,7 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
 
     Returns ``(energy, amplitudes)`` with the amplitude vector normalized
     and ordered like ``spin_sector(L).basis``.  For M odd the pair comes
-    from the k = pi sector: eigensolve there, a longdouble Lanczos polish,
+    from the k = pi sector: Lanczos there in float64, then in longdouble,
     then expansion to every state of each orbit.  Against the full-sector
     solve the energy and every G(x) agree to 1e-14 at L <= 18.  M-even
     rings are solved in the full sector.  Either way the eigensolver is

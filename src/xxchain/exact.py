@@ -348,6 +348,8 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     """
     _check_distance(x_max, lattice)
     det_last = lattice.is_finite and x_max == lattice.length - 1
+    if det_last:
+        _check_det_size(x_max)  # before the table, not after it
     n = x_max - det_last
     r = np.repeat(log_r_table((n + 1) // 2, lattice), 2)
     g = r[1:n + 1] + r[2:n + 2]

@@ -78,33 +78,22 @@ def g0(x: int, lattice: LatticeSpec = INFINITE) -> float:
     """Green function G0(x) at integer separation x.
 
     Returns the analytic limit 1/2 at x = 0 (the half-filling density) and
-    exactly 0 at every other even separation.  On a finite ring the argument
-    is reduced mod 2L and folded into [0, L/2] first, using the exact
-    identities g0(-x) = g0(x) and g0(L - x) = g0(x) (the latter requires
-    M odd), so the sine in the denominator is always evaluated at an
-    argument <= pi/2.
+    exactly 0 at every other even separation.  The argument is taken as |x|,
+    by g0(-x) = g0(x); on a finite ring, where -L < x < L, it is then folded
+    into [0, L/2] by g0(L - x) = g0(x) (which requires M odd), so the sine in
+    the denominator is always evaluated at an argument <= pi/2.
     """
     if not isinstance(x, int) or isinstance(x, bool):
         raise DomainError(f"x must be an integer, got {x!r}")
+    n = abs(x)
     if lattice.is_finite:
         L = lattice.length
         if not -L < x < L:
             raise DomainError(f"require -L < x < L on a finite ring, got x={x}, L={L}")
-        n = x % (2 * L)
-        if n > L:
-            n = 2 * L - n
-        if n > L // 2:
-            n = L - n
-        if n == 0:
-            return 0.5
-        if n % 2 == 0:
-            return 0.0
-        sign = 1.0 if n % 4 == 1 else -1.0
-        return sign / (L * math.sin(math.pi * n / L))
-    n = abs(x)
+        n = min(n, L - n)
     if n == 0:
         return 0.5
     if n % 2 == 0:
         return 0.0
     sign = 1.0 if n % 4 == 1 else -1.0
-    return sign / (math.pi * n)
+    return sign / (L * math.sin(math.pi * n / L) if lattice.is_finite else math.pi * n)

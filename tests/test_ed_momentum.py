@@ -42,7 +42,7 @@ def _k_pi_bonds(L):
 
 
 def _dense(bonds, dim):
-    H = np.zeros((dim, dim))
+    H = np.zeros((dim, dim), dtype=bonds[0][2].dtype)
     for a, b, d in bonds:
         np.add.at(H, (b, a), d)
     return H
@@ -61,7 +61,7 @@ def test_k_pi_bond_matrix_is_symmetric(L):
 @pytest.mark.parametrize("L", [6, 10, 14])
 def test_lanczos_energy_matches_dense_spectrum(L):
     bonds, dim = _k_pi_bonds(L)
-    energy, _, _ = _lanczos(bonds, dim)
+    energy, _, _, _ = _lanczos(bonds, _start_vector(dim), _LANCZOS_STEPS)
     assert abs(energy - np.linalg.eigvalsh(_dense(bonds, dim))[0]) <= 1e-13
 
 
@@ -73,8 +73,8 @@ def test_lanczos_ends_on_krylov_exhaustion(L):
     H = _dense(bonds, dim)
     w = np.linalg.eigvalsh(H)
     distinct = 1 + int(np.sum(np.diff(w) > 1e-9))
-    energy, v, steps = _lanczos(bonds, dim)
-    assert dim < _LANCZOS_STEPS
+    energy, v, steps, converged = _lanczos(bonds, _start_vector(dim), _LANCZOS_STEPS)
+    assert dim < _LANCZOS_STEPS and converged
     assert steps == distinct < dim
     assert abs(energy - w[0]) <= 1e-13
     assert abs(np.linalg.norm(v) - 1) <= 1e-14
@@ -83,8 +83,26 @@ def test_lanczos_ends_on_krylov_exhaustion(L):
 
 def test_lanczos_raises_when_the_budget_runs_out(monkeypatch):
     monkeypatch.setattr(ed, "_LANCZOS_STEPS", 8)
+    _momentum_ground_state.cache_clear()
     with pytest.raises(ArithmeticError, match="8 steps"):
-        _lanczos(*_k_pi_bonds(14))
+        ed_ground_state(14)
+    bonds, dim = _k_pi_bonds(14)
+    assert _lanczos(bonds, _start_vector(dim), 8)[2:] == (8, False)
+
+
+def test_lanczos_converges_in_longdouble():
+    # the same loop on the longdouble bonds stops on its own eps, far below float64's
+    L = 10
+    sector = spin_sector(L)
+    leaders, orbit, phase = _orbits(sector)
+    bonds, dim = _momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
+    energy, v, steps, converged = _lanczos(bonds, _start_vector(dim).astype(np.longdouble), _LANCZOS_STEPS)
+    assert converged and steps < dim
+    assert energy.dtype == v.dtype == np.longdouble
+    H = _dense(bonds, dim)
+    v = v / np.sqrt(v @ v)
+    residual = H @ v - energy * v
+    assert float(np.sqrt(residual @ residual)) <= 1e-17 * abs(float(energy))
 
 
 @pytest.mark.parametrize("L", [6, 10, 14, 18])

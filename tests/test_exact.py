@@ -364,6 +364,17 @@ def test_correlator_is_the_last_sweep_cell(L, xs):
             correlator_sweep(L - 1, lat)
 
 
+def test_sweep_rejects_an_oversized_det_cell_before_the_table(monkeypatch):
+    # x_max = L-1 > MAX_DET_SIZE fails up front, not after building log R to N = L/2 - 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("log_r_table built before the det guard")
+
+    monkeypatch.setattr(exact, "log_r_table", refuse)
+    L = 2 * MAX_DET_SIZE + 2
+    with pytest.raises(SizeError):
+        correlator_sweep(L - 1, LatticeSpec.finite(L))
+
+
 def _ld_to_mp(v, mp):
     num, den = v.as_integer_ratio()
     return mp.mpf(num) / den

@@ -89,8 +89,8 @@ def _sweep_ref(L, x_max: int) -> list:
 
 
 def _ed(stage: int):
-    """``prepare`` of stage 0 (basis and orbits), 1 (k = pi Hamiltonian) or 2 (float64
-    Lanczos and longdouble polish) of the ED solve.  Its output is checked by running the
+    """``prepare`` of stage 0 (basis and orbits), 1 (k = pi Hamiltonian) or 2 (the one
+    Lanczos, run in float64 and then in longdouble) of the ED solve.  Its output is checked by running the
     later stages untimed: the ground energy, 2 L G(1), against the reference."""
 
     def prepare(xx, L):
@@ -103,8 +103,9 @@ def _ed(stage: int):
             return xx.ed._momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
 
         def eigensolver(H, dim):
-            v = xx.ed._lanczos([(a, b, d.astype(np.float64)) for a, b, d in H], dim)[1]
-            return [float(xx.ed._polish(H, v)[0])]
+            H64 = [(a, b, d.astype(np.float64)) for a, b, d in H]
+            v = xx.ed._lanczos(H64, xx.ed._start_vector(dim), xx.ed._LANCZOS_STEPS)[1]
+            return [float(xx.ed._lanczos(H, v.astype(np.longdouble), xx.ed._POLISH_STEPS)[0])]
 
         stages = (basis, hamiltonian, eigensolver)
         given = ()
