@@ -111,10 +111,6 @@ def cmd_correlator(args, parser) -> int:
         parser.error(f"--x-max {x_max} exceeds the ring-length guard {MAX_RING_LENGTH}")
     if "det" in routes and x_max > MAX_DET_SIZE:
         parser.error(f"--x-max {x_max} exceeds the det route's guard {MAX_DET_SIZE}")
-    # the sine product stops at x = L-2; the product cell at x = L-1 is a Wick determinant
-    fallback = "product" in routes and lattice.is_finite and x_max == lattice.length - 1
-    if fallback and x_max > MAX_DET_SIZE:
-        parser.error(f"--x-max {x_max} = L-1 needs a Wick determinant above its guard {MAX_DET_SIZE}")
 
     warnings = []
     if "ed" in routes and (not lattice.is_finite or lattice.length > MAX_ED_LENGTH):
@@ -123,18 +119,12 @@ def cmd_correlator(args, parser) -> int:
         print(f"warning: {warnings[-1]}", file=sys.stderr)
     if not routes:
         parser.error("no usable routes left")
-    if fallback:
-        warnings.append(f"product at x={x_max} is the det route: the sine product stops at x = L-2")
-        print(f"warning: {warnings[-1]}", file=sys.stderr)
 
     params = asymptotic_params() if "asym" in routes else None
     columns = {}
     if "det" in routes:
         columns["det"] = correlator_det_sweep(x_max, lattice)
-    if fallback and "det" in columns:
-        # the x = L-1 product cell is the det sweep's last cell: take it from the det column
-        columns["product"] = np.append(correlator_sweep(x_max - 1, lattice), columns["det"][-1])
-    elif "product" in routes:
+    if "product" in routes:
         columns["product"] = correlator_sweep(x_max, lattice)
     if "ed" in routes:
         columns["ed"] = ed_correlator_sweep(lattice.length, x_max)
@@ -194,11 +184,6 @@ def cmd_finite_size(args, parser) -> int:
     if max(lengths) > MAX_RING_LENGTH:
         parser.error(f"--L-list entry {max(lengths)} exceeds the ring-length guard {MAX_RING_LENGTH}")
     distances = [min(max(int(round(args.x_frac * L)), 1), L - 1) for L in lengths]
-    for L, x in zip(lengths, distances):
-        # x = L-1 is a Wick determinant, as in the correlator command
-        if x == L - 1 > MAX_DET_SIZE:
-            parser.error(f"--x-frac {args.x_frac} puts L={L} at x = L-1 = {x}, "
-                         f"above the det guard {MAX_DET_SIZE}")
 
     params = asymptotic_params()
     adjustments = [f"{L_req}->{L}" for L_req, L in zip(requested, lengths) if L != L_req]

@@ -10,7 +10,7 @@ import pytest
 import xxchain
 from xxchain import cli, ed, exact
 from xxchain.cli import _next_admissible, check_exact_agreement, main
-from xxchain.exact import MAX_DET_SIZE, MAX_RING_LENGTH, correlator_sweep
+from xxchain.exact import MAX_RING_LENGTH, correlator_sweep
 from xxchain.greens import LatticeSpec
 from xxchain.tables import RouteComparison, comparison_from_csv
 
@@ -293,30 +293,40 @@ def test_correlator_x_max_fenced_up_front(capsys, monkeypatch):
         assert out == ""
 
 
-def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a column was computed")
+def _no_det_route(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the product column reached the det route")
 
-    for name in ("correlator_sweep", "correlator_det_sweep", "asymptotic_params"):
-        monkeypatch.setattr(cli, name, no_work)
-    argv = ["correlator", "--L", "8194", "--x-max", "8193", "--routes", "product"]
+    for name in ("correlator_det_sweep", "correlator_det", "_wick_kernel"):
+        monkeypatch.setattr(exact, name, forbidden)
+    monkeypatch.setattr(cli, "correlator_det_sweep", forbidden)
+
+
+def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):
+    # x = L-1 above the det guard is a sine-product cell like any other: no fence, no warning
+    _no_det_route(monkeypatch)
+    argv = ["correlator", "--L", "8194", "--x-max", "8193", "--routes", "product", "--format", "json"]
     code, out, err = run(argv, capsys)
-    assert code == 2
-    assert str(MAX_DET_SIZE) in err
-    assert "warning" not in err
-    assert out == ""
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["meta"]["warnings"] == []
+    product = [row["values"]["product"] for row in doc["rows"]]
+    assert len(product) == 8193
+    assert abs(product[-1] / product[0] - 1) <= 1e-15
 
 
 def test_finite_size_det_fallback_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a row was computed")
-
-    monkeypatch.setattr(cli, "correlator", no_work)
-    monkeypatch.setattr(cli, "asymptotic_params", no_work)
-    code, out, err = run(["finite-size", "--L-list", "102,10002", "--x-frac", "0.99999"], capsys)
-    assert code == 2
-    assert "L=10002" in err and str(MAX_DET_SIZE) in err
-    assert out == ""
+    # --x-frac 0.99999 puts L = 10002 at x = L-1, past the det guard: the row is the sine product's
+    _no_det_route(monkeypatch)
+    argv = ["finite-size", "--L-list", "102,10002", "--x-frac", "0.99999", "--format", "json"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    doc = json.loads(out)
+    assert doc["meta"].get("warnings", []) == []
+    assert [row["L"] for row in doc["rows"]] == [102, 10002]
+    assert doc["rows"][1]["exact"] == correlator_sweep(10001, LatticeSpec(10002))[-1]
 
 
 def test_finite_size_det_fallback_below_guard_runs(capsys):
@@ -326,17 +336,16 @@ def test_finite_size_det_fallback_below_guard_runs(capsys):
 
 
 def test_product_det_fallback_is_reported(capsys):
+    # nothing to report: x = L-1 is as much the sine product's as x = L-2
     argv = ["correlator", "--L", "10", "--routes", "product", "--format", "json", "--x-max"]
-    code, out, err = run(argv + ["9"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert any("x=9" in w and "det" in w for w in doc["meta"]["warnings"])
-    assert "x=9" in err
-    assert isinstance(doc["rows"][-1]["values"]["product"], float)
-    code, out, err = run(argv + ["8"], capsys)
-    assert code == 0
-    assert json.loads(out)["meta"]["warnings"] == []
-    assert err == ""
+    for x_max in (9, 8):
+        code, out, err = run(argv + [str(x_max)], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["warnings"] == []
+        assert err == ""
+        product = [row["values"]["product"] for row in doc["rows"]]
+        assert product == correlator_sweep(x_max, LatticeSpec(10)).tolist()
 
 
 def _fresh(probe, blas_threads=None):
@@ -409,7 +418,7 @@ def test_ed_column_is_the_sweep(capsys, monkeypatch):
 
 
 def test_det_and_product_columns_share_one_det_sweep(capsys, monkeypatch):
-    # the product cell at x = L-1 is the det sweep's last cell, which the det column holds
+    # the det sweep runs once, for the det column; the product column's x = L-1 cell is its own
     calls = []
     sweep = exact.correlator_det_sweep
 
@@ -425,5 +434,6 @@ def test_det_and_product_columns_share_one_det_sweep(capsys, monkeypatch):
     monkeypatch.undo()
     table = comparison_from_csv(out)
     det, product = table.values
+    assert det.tolist() == sweep(61, LatticeSpec(62)).tolist()
     assert product.tolist() == correlator_sweep(61, LatticeSpec(62)).tolist()
-    assert product[-1] == det[-1] == sweep(61, LatticeSpec(62))[-1]
+    assert table.rel_errs["det-product"][-1] <= 1e-15

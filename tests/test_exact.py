@@ -104,22 +104,24 @@ def test_energy_identity():
 
 
 def test_fallback_at_last_distance():
-    # x = L-1 needs R_{L/2}, beyond the sine-product range: falls back to det
+    # x = L-1 reads R_{L/2} from the sine product, as x = L-2 reads R_{L/2-1}
     lat = LatticeSpec.finite(10)
     sample = correlator(9, lat)
-    assert sample.route is Route.DET
+    assert sample.route is Route.PRODUCT
     assert sample.value == pytest.approx(correlator_det(9, lat), rel=1e-15)
     assert correlator(7, lat).route is Route.PRODUCT
 
 
 @pytest.mark.parametrize("L", [18, 62, 1102, 1202])
 def test_last_ring_cell_is_the_det_sweep(L):
-    # G(L-1) = G(1) by reflection: the det sweep's cell is within 4.4e-16 of the
-    # product route's G(1), the dense float64 oracle 5.3e-14 off at L = 1102
+    # G(L-1) = G(1) by reflection, which neither route builds in: the product cell equals
+    # G(1) here, the det sweep's cell is within 3.5e-16 of it and the dense float64 oracle
+    # 5.3e-14 off at L = 1102
     lat = LatticeSpec.finite(L)
-    last = correlator_det_sweep(L - 1, lat)[-1]
-    assert correlator(L - 1, lat).value == correlator_sweep(L - 1, lat)[-1] == last
+    last = correlator_sweep(L - 1, lat)[-1]
+    assert correlator(L - 1, lat).value == last
     assert rel(last, correlator(1, lat).value) <= 1e-15
+    assert rel(last, correlator_det_sweep(L - 1, lat)[-1]) <= 1e-15
     assert rel(last, correlator_det(L - 1, lat)) <= 1e-13
 
 
@@ -156,7 +158,7 @@ def test_domain_guards():
     with pytest.raises(DomainError):
         correlator(0, lat)
     with pytest.raises(DomainError):
-        r_value(5, lat)  # 2N = 10 > L-1
+        r_value(6, lat)  # 2N = 12 > L
     with pytest.raises(DomainError):
         r_value(0, INFINITE)
     with pytest.raises(SizeError):
@@ -245,7 +247,7 @@ def test_sine_grid_small_sizes():
 
 @pytest.mark.parametrize("L", [6, 10, 14, 62, 1202, 10002])
 def test_log_factors_fold_at_the_quarter_ring(L):
-    n = L // 2 - 1  # the largest table a ring admits: 2N <= L - 1
+    n = L // 2  # the largest table a ring admits: 2N <= L
     f = exact._log_factors(n, LatticeSpec.finite(L))
     for k in range(L // 4 + 1, n):
         assert f[k] == f[L // 2 - k], k
@@ -262,8 +264,7 @@ def test_correlator_sweep_matches_correlator(lat, x_max):
     assert sweep.shape == (x_max,)
     for x in range(1, x_max + 1):
         assert rel(sweep[x - 1], correlator(x, lat).value) <= 1e-14, x
-    expected = Route.DET if lat.is_finite else Route.PRODUCT
-    assert correlator(x_max, lat).route is expected
+    assert correlator(x_max, lat).route is Route.PRODUCT
 
 
 @pytest.mark.parametrize("lat, d_max", [
@@ -322,6 +323,34 @@ def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
         np.testing.assert_array_equal(correlator_det_sweep(x_max, lat), values)
 
 
+@pytest.mark.parametrize("L", [10, 62, 1102, 8194])
+def test_product_route_is_independent_of_the_det_route(monkeypatch, L):
+    lat = LatticeSpec.finite(L)
+    g1 = correlator(1, lat).value
+
+    def forbidden(*args):
+        raise AssertionError("the sine product reached the det route")
+
+    for name in ("correlator_det_sweep", "correlator_det", "_wick_kernel"):
+        monkeypatch.setattr(exact, name, forbidden)
+    sample = correlator(L - 1, lat)
+    assert sample.route is Route.PRODUCT
+    assert rel(sample.value, g1) <= 1e-15
+    assert rel(correlator_sweep(L - 1, lat)[-1], g1) <= 1e-15  # 4.4e-16 at L = 8194
+
+
+@pytest.mark.parametrize("L", [*range(6, 63, 4), 1102, 8194])
+def test_ring_wallis_identity_and_mirror(L):
+    # log R_{L/2} = 0, and R_N = R_{L/2-N} from G(2N) = G(L-2N): the table builds in neither
+    h = L // 2
+    lat = LatticeSpec.finite(L)
+    table = log_r_table(h, lat)
+    assert abs(table[h]) <= 1e-15  # 2.6e-16 measured at L = 8194
+    assert np.max(np.abs(table - table[::-1])) <= 1e-15  # 4.4e-16 measured at L = 8194
+    if L <= 62:  # the float64 determinant drifts from 1 as L grows
+        assert abs(r_det(h, lat) - 1) <= 1e-13  # 2.4e-15 measured at L = 62
+
+
 def test_det_sweep_holds_one_reduced_matrix():
     # the recursion holds O(X) longdouble vectors, about 120 bytes per x measured; at X = 4096
     # the reduced matrix alone would be 32 MiB, and at X = 1024 the Wick matrix 8 MiB
@@ -347,32 +376,36 @@ def test_det_sweep_guards():
 @pytest.mark.parametrize("L, xs", [
     (62, [1, 2, 15, 16, 31, 40, 45, 60, 61]),
     (1202, [1, 2, 301, 302, 601, 602, 901, 1200, 1201]),
-    (100002, [1, 2, 25001, 25002, 50001, 50002, 90001, 100000]),
+    (100002, [1, 2, 25001, 25002, 50001, 50002, 90001, 100000, 100001]),
     (None, [1, 2, 3, 511, 1024, 1025, 9999, 20000]),
 ])
 def test_correlator_is_the_last_sweep_cell(L, xs):
-    # odd and even x, x past L/2, x = L-2 and, on the two small rings, x = L-1 (DET)
+    # odd and even x, x past L/2, x = L-2 and, on the rings, x = L-1, past the det guard on L = 100002
     lat = INFINITE if L is None else LatticeSpec.finite(L)
     for x in xs:
         sample = correlator(x, lat)
         assert sample.value == correlator_sweep(x, lat)[-1], x
-        assert sample.route is (Route.DET if x == (L or 0) - 1 else Route.PRODUCT)
-    if L is not None and L - 1 > MAX_DET_SIZE:
-        with pytest.raises(SizeError):
-            correlator(L - 1, lat)
-        with pytest.raises(SizeError):
-            correlator_sweep(L - 1, lat)
+        assert sample.route is Route.PRODUCT
 
 
 def test_sweep_rejects_an_oversized_det_cell_before_the_table(monkeypatch):
-    # x_max = L-1 > MAX_DET_SIZE fails up front, not after building log R to N = L/2 - 1
-    def refuse(*args, **kwargs):
-        raise AssertionError("log_r_table built before the det guard")
+    # x_max = L-1 above MAX_DET_SIZE is no det cell: one table to N = L/2 and no guard
+    tables = []
+    table = exact.log_r_table
 
-    monkeypatch.setattr(exact, "log_r_table", refuse)
+    def counted(n_max, lat):
+        tables.append(n_max)
+        return table(n_max, lat)
+
+    def refuse(*args):
+        raise AssertionError("the product sweep reached the det guard")
+
+    monkeypatch.setattr(exact, "log_r_table", counted)
+    monkeypatch.setattr(exact, "_check_det_size", refuse)
     L = 2 * MAX_DET_SIZE + 2
-    with pytest.raises(SizeError):
-        correlator_sweep(L - 1, LatticeSpec.finite(L))
+    g = correlator_sweep(L - 1, LatticeSpec.finite(L))
+    assert tables == [L // 2]
+    assert rel(g[-1], g[0]) <= 1e-15  # 4.4e-16 measured
 
 
 def _ld_to_mp(v, mp):

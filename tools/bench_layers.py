@@ -16,9 +16,9 @@ example from ``git archive``.  OUT.json holds:
   one process per side, the sides in turn first.  A layer whose callable
   raises ``AttributeError`` or ``TypeError`` on a side, such as a private
   function renamed since, is ``absent`` there, with the message.
-* ``cli``: wall time, CPU time and peak RSS of the inf-sweep and ed-oracle
-  ``correlator`` commands, ``constants`` and ``finite-size`` run from each
-  ``src``, with ``spawner_rss_mb``, this process's own peak RSS at the spawn:
+* ``cli``: wall time, CPU time and peak RSS of the inf-sweep, ed-oracle and
+  ring-last-cell ``correlator`` commands, ``constants`` and ``finite-size``
+  run from each ``src``, with ``spawner_rss_mb``, this process's own peak RSS at the spawn:
   Linux carries it into the child's ``ru_maxrss``, so it is a floor under
   ``peak_rss_mb``.
 * ``end_to_end`` (only with SEEDs): one ``bench/run.py --trace 0`` pair per
@@ -136,7 +136,7 @@ def _energy_ref(L: int) -> list:
     return [2 * L * _sweep_ref(L, 1)[0]]
 
 
-# ROADMAP aim 1's layers; on a ring (L/2 odd) log_r_table reaches N = L/2 - 1, past L/4
+# ROADMAP aim 1's layers; on a ring (L/2 odd) the log_r_table layer runs to N = L/2 - 1, past L/4
 LAYERS = {
     "g0": Layer(
         (1202, 12_002, 120_002),
@@ -272,13 +272,14 @@ def pairs(label: str, sample: Callable, count: int, keys) -> dict:
 
 
 def cli_commands() -> dict[str, list[str]]:
-    """The inf-sweep and ed-oracle commands, constants, and finite-size at bench/run.py's seed 1
-    lengths."""
+    """The inf-sweep and ed-oracle commands, the product column to x = L - 1 on a ring, constants,
+    and finite-size at bench/run.py's seed 1 lengths."""
     from run import constants_large_n
 
     steps = constants_large_n(SimpleNamespace(prepare_single=lambda x, L: None), random.Random(1), 1.0)
     return {"inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
             "correlator": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
+            "ring-last-cell": ["correlator", "--L", "4094", "--x-max", "4093", "--routes", "product"],
             "constants": ["constants"],
             "finite-size": list(steps[-1].argv)}
 
