@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .asymptotics import AsymptoticParams
-from .errors import DomainError
+from .errors import check_int
 from .exact import log_r_table
 from .greens import INFINITE
 from .special import bernoulli_rationals, polygamma, zeta_em
@@ -90,8 +90,7 @@ def log_r_series(N: int) -> float:
     N = 2, 3, 5, 10, 100, 1e3, 5000 and 1e4.  The p-series is cut when the
     running term drops below 1e-18.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
+    N = check_int("N", N, 2)
     zN = float(N)
     parts = []
     for p in range(1, _P_MAX + 1):
@@ -175,8 +174,7 @@ def log_r_gamma_product(N: int) -> float:
     limit).  Against mpmath the error is at most 5.4e-16 relative at N = 1,
     2, 9, 10, 11, 500 and 1e4.  Nothing here reads the sine product.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    N = check_int("N", N, 1)
     head = math.fsum(
         math.log(math.gamma(k) ** 2 / (math.gamma(k + 0.5) * math.gamma(k - 0.5)))
         for k in range(1, min(N, _GAMMA_K0 - 1) + 1)
@@ -201,8 +199,7 @@ def log_r_barnes(N: int) -> float:
     rounding of every ln Gamma they add, so against mpmath the relative error
     grows with N: 8.2e-15 at N = 10, 7.3e-11 at N = 500 and 5.2e-9 at N = 1e4.
     """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+    N = check_int("N", N, 1)
     s_int = math.fsum(math.lgamma(k) for k in range(1, N + 1))
     s_half = math.fsum(math.lgamma(j + 0.5) for j in range(N))
     return math.lgamma(0.5) + 2.0 * s_int - 2.0 * s_half - math.lgamma(N + 0.5)
@@ -276,10 +273,8 @@ def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsRepo
     subleading coefficient.  C0 and C0/(2 sqrt(pi)) derive from the series
     value of ln B via C0 = sqrt(pi) B^2 / sqrt(2).
     """
-    if not isinstance(n_fit, int) or n_fit < 1000:
-        raise DomainError(f"n_fit must be an integer >= 1000, got {n_fit!r}")
-    if not isinstance(x_fit_max, int) or x_fit_max < 1000:
-        raise DomainError(f"x_fit_max must be an integer >= 1000, got {x_fit_max!r}")
+    n_fit = check_int("n_fit", n_fit, 1000)
+    x_fit_max = check_int("x_fit_max", x_fit_max, 1000)
 
     integral = lukyanov_integral()
     # one table serves the ln B fit (N <= n_fit) and the subleading fit (x <= x_fit_max)

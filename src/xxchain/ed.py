@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_int
 
 __all__ = [
     "SpinSector",
@@ -76,15 +76,15 @@ class SpinSector:
         return np.searchsorted(self.basis, states)
 
 
-def _check_length(L: int, allow_even_m: bool) -> None:
-    if not isinstance(L, int) or isinstance(L, bool):
-        raise DomainError(f"L must be an integer, got {L!r}")
+def _check_length(L: int, allow_even_m: bool) -> int:
+    L = check_int("L", L)
     if L % 2 != 0 or L < 6:
         raise DomainError(f"L must be even and >= 6, got {L}")
     if L > MAX_ED_LENGTH:
         raise SizeError(f"L={L} exceeds the diagonalization guard {MAX_ED_LENGTH}")
     if not allow_even_m and (L // 2) % 2 != 1:
         raise DomainError(f"L must satisfy L/2 odd, got L={L}")
+    return L
 
 
 def _cached_per_length(build):
@@ -97,8 +97,7 @@ def _cached_per_length(build):
     cached = functools.lru_cache(maxsize=None)(build)
 
     def call(L: int, allow_even_m: bool = False):
-        _check_length(L, allow_even_m)
-        return cached(L)
+        return cached(_check_length(L, allow_even_m))
 
     call.__name__, call.__qualname__, call.__doc__ = build.__name__, build.__qualname__, build.__doc__
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
@@ -337,7 +336,7 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     Lanczos from one fixed start vector, at every dimension: the numpy
     :func:`_lanczos` in the k = pi sector, ARPACK (``eigsh``) in the full one.
     """
-    _check_length(L, allow_even_m)
+    L = _check_length(L, allow_even_m)
     if (L // 2) % 2:
         energy, psi, _ = _momentum_ground_state(L)
         return energy, psi
@@ -371,8 +370,7 @@ def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances
 def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
     """Per-site values <sigma^+_{i+x} sigma^-_i> for i = 0..L-1 (translation check)."""
     sector = spin_sector(L, allow_even_m)
-    if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= L - 1:
-        raise DomainError(f"require 1 <= x <= L-1, got x={x}, L={L}")
+    x = check_int("x", x, 1, sector.L - 1)
     _, psi = ed_ground_state(L, allow_even_m)
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
@@ -400,8 +398,7 @@ def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.nd
     :func:`ed_correlator` does; that stays the scalar form and the oracle.
     """
     sector = spin_sector(L, allow_even_m)
-    if not isinstance(x_max, int) or isinstance(x_max, bool) or not 1 <= x_max <= L - 1:
-        raise DomainError(f"require 1 <= x_max <= L-1, got x_max={x_max}, L={L}")
+    x_max = check_int("x_max", x_max, 1, sector.L - 1)
     _, psi = ed_ground_state(L, allow_even_m)  # the solve, under its public name
     if (L // 2) % 2:
         psi, sites = _momentum_ground_state(L)[2], range(1)  # cached by the solve

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer-argument check."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -7,3 +9,17 @@ class DomainError(ValueError):
 
 class SizeError(ValueError):
     """An argument is admissible in principle but exceeds a size guard."""
+
+
+def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int if it is an integer in [lo, hi], a bound of None being open.
+
+    Any type with ``__index__`` is an integer, numpy's included; ``bool`` is
+    not, and numpy's ``bool_`` has no ``__index__``.  Anything else raises
+    :class:`DomainError` naming the argument and its range.
+    """
+    n = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
+    if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
+        span = f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]"
+        raise DomainError(f"{name} must be an integer in {span}, got {value!r}")
+    return n

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, SizeError
+from .errors import SizeError, check_int
 from .greens import INFINITE, LatticeSpec
 
 __all__ = [
@@ -88,13 +88,8 @@ class LogProduct:
         return self.sign * math.exp(self.log_abs)
 
 
-def _check_distance(x: int, lattice: LatticeSpec) -> None:
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise DomainError(f"x must be an integer, got {x!r}")
-    if x < 1:
-        raise DomainError(f"x must be >= 1, got {x}")
-    if lattice.is_finite and x > lattice.length - 1:
-        raise DomainError(f"x must be <= L-1 = {lattice.length - 1}, got {x}")
+def _check_distance(x: int, lattice: LatticeSpec) -> int:
+    return check_int("x", x, 1, lattice.length - 1 if lattice.is_finite else None)
 
 
 def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
@@ -144,7 +139,7 @@ def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     over the plain sine kernel to the physical staggered correlator.  This
     scalar form is the test oracle for :func:`correlator_det_sweep`.
     """
-    _check_distance(x, lattice)
+    x = _check_distance(x, lattice)
     _check_det_size(x)
     sign = 1.0 if x % 2 == 0 else -1.0
     return 0.5 * sign * float(np.linalg.det(_kernel_toeplitz(x, 1, lattice)))
@@ -169,7 +164,7 @@ def correlator_det_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndar
     x_max = 450 (L = 1102 and infinite), 4.2e-16 at 1000 and 4.7e-16 at 4096.  No sine
     product is involved, so this stays independent of :func:`correlator_sweep`.
     """
-    _check_distance(x_max, lattice)
+    x_max = _check_distance(x_max, lattice)
     _check_det_size(x_max)
     n = (x_max + 1) // 2
     s = np.zeros(2 * n + 1, dtype=np.longdouble)
@@ -186,13 +181,9 @@ def correlator_det_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndar
     return np.where(x % 2, -0.5, 0.5) * r[x // 2] * r[(x + 1) // 2]
 
 
-def _check_r_range(N: int, lattice: LatticeSpec) -> None:
-    if not isinstance(N, int) or isinstance(N, bool):
-        raise DomainError(f"N must be an integer, got {N!r}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    if lattice.is_finite and 2 * N > lattice.length:
-        raise DomainError(f"require 2N <= L (all sine arguments in (0, pi)); got N={N}, L={lattice.length}")
+def _check_r_range(N: int, lattice: LatticeSpec) -> int:
+    # 2N <= L keeps every sine argument of R_N in (0, pi)
+    return check_int("N", N, 1, lattice.length // 2 if lattice.is_finite else None)
 
 
 def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
@@ -200,7 +191,7 @@ def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
 
     Serves as the independent oracle for :func:`r_value`; R_1 = 2 G0(1) > 0.
     """
-    _check_r_range(N, lattice)
+    N = _check_r_range(N, lattice)
     _check_det_size(2 * N)
     return float(np.linalg.det(_kernel_toeplitz(N, 2, lattice)))
 
@@ -307,7 +298,7 @@ def r_value(N: int, lattice: LatticeSpec = INFINITE) -> LogProduct:
     N = 1 is the empty product.  The terms (N-k) f_k are rounded to doubles and
     summed with math.fsum; this scalar form is the test oracle for :func:`log_r_table`.
     """
-    _check_r_range(N, lattice)
+    N = _check_r_range(N, lattice)
     terms = (N - np.arange(N)) * _log_factors(N, lattice)
     return LogProduct(log_abs=math.fsum(terms.tolist()), sign=1)
 
@@ -324,8 +315,7 @@ def log_r_table(n_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     rings of L = 4.6e5 to 7.8e5, log R_N + log R_{N+1}, the log of 2|G(2N+1)|,
     is off by 2.2e-15 to 2.3e-14.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 0:
-        raise DomainError(f"n_max must be an integer >= 0, got {n_max!r}")
+    n_max = check_int("n_max", n_max, 0)
     _check_r_range(max(n_max, 1), lattice)
     f = _log_factors(n_max, lattice)
     np.cumsum(f, out=f)
@@ -346,7 +336,7 @@ def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     on larger rings it is the f_0 rounding of :func:`_log_factors`, as for
     G(L-2)/G(2) - 1 (-1.4e-15 and -1.6e-15 at L = 100002).
     """
-    _check_distance(x_max, lattice)
+    x_max = _check_distance(x_max, lattice)
     r = np.repeat(log_r_table((x_max + 1) // 2, lattice), 2)
     g = r[1:x_max + 1] + r[2:x_max + 2]
     np.exp(g, out=g)
@@ -362,7 +352,7 @@ def correlator(x: int, lattice: LatticeSpec = INFINITE) -> CorrelatorSample:
     the arithmetic of the last entry of :func:`correlator_sweep`, which it
     matches bit for bit, without the sweep's other 2N cells.
     """
-    _check_distance(x, lattice)
+    x = _check_distance(x, lattice)
     r = log_r_table((x + 1) // 2, lattice)
     value = float(np.exp(r[x // 2] + r[(x + 1) // 2])) * (-0.5 if x % 2 else 0.5)
     return CorrelatorSample(x=x, value=value, route=Route.PRODUCT)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = ["LatticeSpec", "INFINITE", "g0"]
 
@@ -43,10 +43,9 @@ class LatticeSpec:
         L = self.length
         if L is None:
             return
-        if not isinstance(L, int) or isinstance(L, bool):
-            raise DomainError(f"L must be an integer, got {L!r}")
-        if L < 6:
-            raise DomainError(f"L must be >= 6, got {L}")
+        L = check_int("L", L, 6)
+        if L is not self.length:  # a numpy integer: keep the Python int
+            object.__setattr__(self, "length", L)
         if L % 2 != 0 or (L // 2) % 2 != 1:
             raise DomainError(f"L must satisfy L/2 odd, got L={L}")
 
@@ -83,8 +82,8 @@ def g0(x: int, lattice: LatticeSpec = INFINITE) -> float:
     into [0, L/2] by g0(L - x) = g0(x) (which requires M odd), so the sine in
     the denominator is always evaluated at an argument <= pi/2.
     """
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise DomainError(f"x must be an integer, got {x!r}")
+    if type(x) is not int:  # the common case skips the call: one g0 per kernel entry
+        x = check_int("x", x)
     n = abs(x)
     if lattice.is_finite:
         L = lattice.length

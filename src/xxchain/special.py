@@ -21,12 +21,13 @@ from __future__ import annotations
 import functools
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = ["bernoulli_numbers", "polygamma", "zeta_em", "zeta_odd"]
 
 MAX_POLYGAMMA_ORDER = 64
 _N_BERNOULLI = 122  # B_0 .. B_122; plenty for optimal truncation at z >= 16
+_Z_CUT = 16.0  # where polygamma's upward recurrence hands over to the asymptotic series
 _ZETA_CUT, _ZETA_TAIL_ORDERS = 32, 15  # zeta_em's direct-sum cut and Bernoulli tail length
 
 
@@ -97,24 +98,21 @@ def _polygamma_asym(m: int, z: float) -> float:
     return sign * (base + acc)
 
 
-def polygamma(m: int, z: float, z_cut: float = 16.0) -> float:
+def polygamma(m: int, z: float) -> float:
     """psi^(m)(z) for z > 0 and order 0 <= m <= 64.
 
-    ``z_cut`` is where the upward recurrence hands over to the asymptotic
-    series; two calls with different cuts must agree to ~1e-12 relative,
-    which the test suite enforces as a self-check of both halves.
+    The upward recurrence hands over to the asymptotic series at ``_Z_CUT``;
+    with the cut moved to 32 the value must agree to ~1e-12 relative, which
+    the test suite enforces as a self-check of both halves.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not 0 <= m <= MAX_POLYGAMMA_ORDER:
-        raise DomainError(f"order must be an integer in [0, {MAX_POLYGAMMA_ORDER}], got {m!r}")
+    m = check_int("m", m, 0, MAX_POLYGAMMA_ORDER)
     if not z > 0:
         raise DomainError(f"z must be positive, got {z}")
-    if not z_cut >= 8.0:
-        raise DomainError(f"z_cut must be >= 8, got {z_cut}")
     sign = 1.0 if m % 2 == 0 else -1.0
     fact_m = math.factorial(m)
     shift = 0.0
     zz = float(z)
-    while zz < z_cut:
+    while zz < _Z_CUT:
         shift += sign * fact_m / zz ** (m + 1)
         zz += 1.0
     return _polygamma_asym(m, zz) - shift
@@ -148,8 +146,7 @@ def zeta_em(s: float) -> float:
 
 def zeta_odd(s: int) -> float:
     """zeta(s) at odd integers 3 <= s <= 81, absolute error <= 1e-15."""
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise DomainError(f"s must be an integer, got {s!r}")
-    if s % 2 == 0 or not 3 <= s <= 81:
-        raise DomainError(f"s must be odd and in [3, 81], got {s}")
+    s = check_int("s", s, 3, 81)
+    if s % 2 == 0:
+        raise DomainError(f"s must be odd, got {s}")
     return zeta_em(float(s))

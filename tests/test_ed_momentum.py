@@ -141,28 +141,14 @@ def test_k_pi_state_is_an_eigenvector_in_longdouble():
     assert abs(float(np.sum(psi * psi)) - 1) <= 1e-18
 
 
-def _wick_reference(L, mp):
-    """G(1..L-1) on a ring from the x-by-x Wick determinant at 30 digits."""
-
-    def kernel(d):
-        if d % 2 == 0:
-            return mp.mpf(0)
-        return 2 * mp.sin(mp.pi * d / 2) / (L * mp.sin(mp.pi * d / L))
-
-    out = []
-    with mp.workdps(30):
-        for x in range(1, L):
-            mat = mp.matrix([[kernel(i - j - 1) for j in range(x)] for i in range(x)])
-            out.append((-1) ** x * mp.det(mat) / 2)
-    return out
-
-
 @pytest.mark.parametrize("L", sorted(FULL_SECTOR_RELERR))
 def test_ed_sweep_against_mpmath(L):
     mp = pytest.importorskip("mpmath")
+    from reference import _wick_det
+
     G = ed_correlator_sweep(L, L - 1)
-    ref = _wick_reference(L, mp)
     with mp.workdps(30):
+        ref = [_wick_det(x, L) for x in range(1, L)]
         worst = max(float(abs(mp.mpf(float(g)) / r - 1)) for g, r in zip(G, ref))
     assert worst <= FULL_SECTOR_RELERR[L]
 

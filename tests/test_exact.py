@@ -167,32 +167,13 @@ def test_domain_guards():
         r_det(2049, INFINITE)
 
 
-def _mp_log_r(n_max, L, mp):
-    """log R_N for N = 0..n_max from the three-log sine form, at 30 digits."""
-    with mp.workdps(30):
-        if L is None:
-            f = [mp.log(2 / mp.pi)] + [
-                2 * mp.log(2 * k) - mp.log(2 * k + 1) - mp.log(2 * k - 1) for k in range(1, n_max)
-            ]
-        else:
-            def lsin(m):
-                return mp.log(mp.sin(mp.pi * m / L))
-
-            f = [mp.log(2 / (L * mp.sin(mp.pi / L)))] + [
-                2 * lsin(2 * k) - lsin(2 * k + 1) - lsin(2 * k - 1) for k in range(1, n_max)
-            ]
-        out, partial = [mp.mpf(0)], mp.mpf(0)
-        for N in range(1, n_max + 1):
-            partial += f[N - 1]  # log R_N - log R_{N-1} = sum_{k<N} f_k
-            out.append(out[-1] + partial)
-        return out
-
-
 @pytest.mark.parametrize("L, n_max", [(None, 10000), (4002, 2000), (10002, 5000)])
 def test_log_r_table_against_mpmath(L, n_max):
     mp = pytest.importorskip("mpmath")
+    from reference import _log_r_recurrence
+
     lat = INFINITE if L is None else LatticeSpec.finite(L)
-    ref = _mp_log_r(n_max, L, mp)
+    ref = _log_r_recurrence(L, n_max)
     table = log_r_table(n_max, lat)
     worst = max(abs(float(mp.mpf(float(t)) - r)) for t, r in zip(table, ref))
     assert worst <= 1e-15  # docstring: 2.77e-16, 2.88e-16 and 3.24e-16 measured
@@ -203,8 +184,10 @@ def test_log_r_table_against_mpmath(L, n_max):
 
 
 def _mp_max_relerr(sweep, L, mp):
-    """Max relerr of G(1..len(sweep)) against the 30-digit sine product."""
-    log_r = _mp_log_r(len(sweep) // 2 + 1, L, mp)
+    """Max relerr of G(1..len(sweep)) against the sine product of the mpmath reference."""
+    from reference import _log_r_recurrence
+
+    log_r = _log_r_recurrence(L, len(sweep) // 2 + 1)
     with mp.workdps(30):
         worst = 0.0
         for x in range(1, len(sweep) + 1):
