@@ -14,11 +14,17 @@ class SizeError(ValueError):
 def check_int(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as a Python int if it is an integer in [lo, hi], a bound of None being open.
 
-    Any type with ``__index__`` is an integer, numpy's included; ``bool`` is
-    not, and numpy's ``bool_`` has no ``__index__``.  Anything else raises
+    Any value that ``operator.index`` accepts is an integer: numpy integer
+    scalars and 0-d integer arrays included, ``bool`` and numpy's ``bool_``,
+    floats and float or 1-d arrays excluded.  Anything else raises
     :class:`DomainError` naming the argument and its range.
     """
-    n = None if isinstance(value, bool) or not hasattr(value, "__index__") else operator.index(value)
+    n = None
+    if not isinstance(value, bool):
+        try:
+            n = operator.index(value)
+        except TypeError:
+            pass
     if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
         span = f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]"
         raise DomainError(f"{name} must be an integer in {span}, got {value!r}")

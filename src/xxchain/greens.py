@@ -44,8 +44,7 @@ class LatticeSpec:
         if L is None:
             return
         L = check_int("L", L, 6)
-        if L is not self.length:  # a numpy integer: keep the Python int
-            object.__setattr__(self, "length", L)
+        object.__setattr__(self, "length", L)
         if L % 2 != 0 or (L // 2) % 2 != 1:
             raise DomainError(f"L must satisfy L/2 odd, got L={L}")
 
@@ -82,13 +81,10 @@ def g0(x: int, lattice: LatticeSpec = INFINITE) -> float:
     into [0, L/2] by g0(L - x) = g0(x) (which requires M odd), so the sine in
     the denominator is always evaluated at an argument <= pi/2.
     """
-    if type(x) is not int:  # the common case skips the call: one g0 per kernel entry
-        x = check_int("x", x)
+    L = lattice.length
+    x = check_int("x", x, 1 - L, L - 1) if lattice.is_finite else check_int("x", x)
     n = abs(x)
     if lattice.is_finite:
-        L = lattice.length
-        if not -L < x < L:
-            raise DomainError(f"require -L < x < L on a finite ring, got x={x}, L={L}")
         n = min(n, L - n)
     if n == 0:
         return 0.5

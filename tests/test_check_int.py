@@ -50,7 +50,8 @@ def test_numpy_integers_give_the_python_int_value(case):
     expected = call(good)
     for dtype in (np.int64, np.int32):
         np.testing.assert_equal(call(dtype(good)), expected)
-    for bad in (True, 2.0, "3", np.True_, *(np.int64(v) for v in out_of_range)):
+    bad_values = (True, 2.0, "3", np.True_, np.array(5.0), np.array([3]))
+    for bad in (*bad_values, *(np.int64(v) for v in out_of_range)):
         with pytest.raises(DomainError):
             call(bad)
 
@@ -71,3 +72,5 @@ def test_one_message_names_the_argument_and_its_range():
         log_r_table(-1)
     with pytest.raises(DomainError, match=r"^x must be an integer in \[-inf, inf\], got True$"):
         g0(True)
+    with pytest.raises(DomainError, match=r"^x must be an integer in \[-9, 9\], got 10$"):
+        g0(10, RING)
