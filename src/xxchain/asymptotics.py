@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 __all__ = [
     "LuttingerParams",
@@ -85,15 +85,14 @@ def luttinger_from_lambda(lam: float) -> LuttingerParams:
 
 def finite_size_energy(dn: int, dq: int, params: LuttingerParams, L: int) -> float:
     """Zero-mode energy shift (pi/2L) u [ xi dN^2 + (1/xi) dQ^2 ]."""
-    if not L > 0:
-        raise DomainError(f"L must be positive, got {L}")
+    L = check_int("L", L, 1)
     return (math.pi / (2.0 * L)) * params.u * (params.xi * dn * dn + dq * dq / params.xi)
 
 
 def asym_finite(x: int, L: int, params: AsymptoticParams) -> float:
     """Finite-ring prediction C0 (-1)^x (L sin(pi x / L))^(-alpha)."""
-    if not 1 <= x <= L - 1:
-        raise DomainError(f"require 1 <= x <= L-1, got x={x}, L={L}")
+    L = check_int("L", L, 2)
+    x = check_int("x", x, 1, L - 1)
     sign = 1.0 if x % 2 == 0 else -1.0
     return params.c0 * sign * (L * math.sin(math.pi * x / L)) ** (-params.alpha)
 
@@ -104,8 +103,7 @@ def asym_infinite(x: int, params: AsymptoticParams) -> AsymptoticPair:
     The subleading term carries no staggering: it deepens odd-x values and
     shaves even-x ones.
     """
-    if not x >= 1:
-        raise DomainError(f"require x >= 1, got {x}")
+    x = check_int("x", x, 1)
     sign = 1.0 if x % 2 == 0 else -1.0
     leading = (params.c0 / math.sqrt(math.pi)) * sign * x**-0.5
     return AsymptoticPair(leading=leading, two_term=leading + params.sub_coeff * x**-2.5)

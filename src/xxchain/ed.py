@@ -368,43 +368,44 @@ def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances
 
 
 def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
-    """Per-site values <sigma^+_{i+x} sigma^-_i> for i = 0..L-1 (translation check)."""
+    """Per-site <sigma^+_{i+x} sigma^-_i>, i = 0..L-1, of the float64 state: their mean is the oracle."""
     sector = spin_sector(L, allow_even_m)
     x = check_int("x", x, 1, sector.L - 1)
     _, psi = ed_ground_state(L, allow_even_m)
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
 
-def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:
-    """G(x) = <sigma^+_{i+x} sigma^-_i> averaged over all sites i.
+def _pair_pass(sector: SpinSector, distances, allow_even_m: bool) -> np.ndarray:
+    """G(x) for each x in ``distances``, each independent of the others, summed in longdouble.
 
-    The state is real by construction (real symmetric Hamiltonian, real
-    eigensolver), so the value is returned as a plain float; averaging over
-    i removes the residual site noise of the eigensolver.
+    On M-odd rings the k = pi state is exactly antisymmetric under translation,
+    so site 0 alone is read, with the longdouble amplitudes; M-even rings
+    average the full-sector state over all L sites.
     """
-    return float(np.mean(ed_correlator_by_site(L, x, allow_even_m)))
-
-
-def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.ndarray:
-    """G(x) for x = 1..x_max from the pair sums of :func:`ed_correlator_by_site`, in longdouble.
-
-    On M-odd rings the k = pi state is exactly antisymmetric under
-    translation, so every i gives the same sum and i = 0 alone is read,
-    with the longdouble amplitudes.  Max relerr against the mpmath sine
-    product: 5.6e-17, 8.6e-17 and 7.7e-17 at L = 10, 14 and 18, where the
-    full-sector state summed in double over every site gave 6.9e-16,
-    4.9e-16 and 1.15e-15.
-    M-even rings average the full-sector state over all L sites, as
-    :func:`ed_correlator` does; that stays the scalar form and the oracle.
-    """
-    sector = spin_sector(L, allow_even_m)
-    x_max = check_int("x_max", x_max, 1, sector.L - 1)
+    L = sector.L
     _, psi = ed_ground_state(L, allow_even_m)  # the solve, under its public name
     if (L // 2) % 2:
         psi, sites = _momentum_ground_state(L)[2], range(1)  # cached by the solve
     else:
         psi, sites = psi.astype(np.longdouble), range(L)
-    total = np.zeros(x_max, dtype=np.longdouble)
-    for i in sites:
-        total += _pair_values(sector, psi, i, range(1, x_max + 1))
-    return (total / len(sites)).astype(np.float64)
+    return (sum(_pair_values(sector, psi, i, distances) for i in sites) / len(sites)).astype(np.float64)
+
+
+def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:
+    """G(x) = <sigma^+_{i+x} sigma^-_i>, the cell x of :func:`ed_correlator_sweep` bit for bit."""
+    sector = spin_sector(L, allow_even_m)
+    x = check_int("x", x, 1, sector.L - 1)
+    return float(_pair_pass(sector, (x,), allow_even_m)[0])
+
+
+def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.ndarray:
+    """G(x) for x = 1..x_max from one longdouble pair pass.
+
+    Max relerr against the mpmath sine product: 5.6e-17, 8.6e-17 and
+    7.7e-17 at L = 10, 14 and 18, where the full-sector state summed in
+    double over every site gave 6.9e-16, 4.9e-16 and 1.15e-15.  The float64
+    oracle is the mean of :func:`ed_correlator_by_site`.
+    """
+    sector = spin_sector(L, allow_even_m)
+    x_max = check_int("x_max", x_max, 1, sector.L - 1)
+    return _pair_pass(sector, range(1, x_max + 1), allow_even_m)

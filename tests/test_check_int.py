@@ -4,17 +4,22 @@ import numpy as np
 import pytest
 
 from xxchain import (
+    AsymptoticParams,
     DomainError,
     LatticeSpec,
     amplitude_report,
+    asym_finite,
+    asym_infinite,
     correlator,
     ed_correlator,
     ed_ground_state,
+    finite_size_energy,
     g0,
     log_r_barnes,
     log_r_gamma_product,
     log_r_series,
     log_r_table,
+    luttinger_from_lambda,
     polygamma,
     r_value,
     zeta_odd,
@@ -23,6 +28,8 @@ from xxchain.ed import ed_correlator_by_site, ed_correlator_sweep
 from xxchain.errors import check_int
 
 RING = LatticeSpec(10)
+PARAMS = AsymptoticParams(alpha=0.5, c0=0.5)
+FREE = luttinger_from_lambda(0.0)
 
 # one entry per guarded argument: (call of the argument, an admissible value, out-of-range values)
 CASES = {
@@ -41,6 +48,10 @@ CASES = {
     "zeta_odd.s": (zeta_odd, 5, (1, 83)),
     "amplitude_report.n_fit": (lambda n: amplitude_report(n_fit=n, x_fit_max=1000), 1000, (999,)),
     "amplitude_report.x_fit_max": (lambda x: amplitude_report(n_fit=1000, x_fit_max=x), 1000, (999,)),
+    "asym_finite.x": (lambda x: asym_finite(x, 10, PARAMS), 3, (0, 10)),
+    "asym_finite.L": (lambda L: asym_finite(3, L, PARAMS), 10, (1, 3)),
+    "asym_infinite.x": (lambda x: asym_infinite(x, PARAMS), 5, (0,)),
+    "finite_size_energy.L": (lambda L: finite_size_energy(1, 1, FREE, L), 10, (0,)),
 }
 
 

@@ -134,6 +134,40 @@ def test_exact_agreement_messages_by_x_then_pair():
     ]
 
 
+def test_disagreeing_exact_routes_write_the_table_and_exit_1(capsys, monkeypatch):
+    sweep = exact.correlator_det_sweep
+    monkeypatch.setattr(cli, "correlator_det_sweep", lambda *args: sweep(*args) * (1 + 1e-6))
+    code, out, err = run(["correlator", "--L", "10", "--x-max", "3", "--routes", "det,product"], capsys)
+    assert code == 1
+    assert comparison_from_csv(out).x.tolist() == [1, 2, 3]
+    assert err.startswith("numerical failure: exact routes disagree: x=1 det-product relerr=1.000e-06; ")
+
+
+@pytest.mark.parametrize("error", ["SizeError", "DomainError"])
+def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
+    def fail(*args):
+        raise getattr(xxchain, error)("raised inside the sweep")
+
+    monkeypatch.setattr(cli, "correlator_sweep", fail)
+    code, out, err = run(["correlator", "--L", "10", "--x-max", "3", "--routes", "product"], capsys)
+    assert code == 2
+    assert err == "error: raised inside the sweep\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["correlator", "--L", "abc", "--x-max", "3"], "--L must be an integer or 'inf', got 'abc'"),
+    (["correlator", "--L", "10", "--x-max", "3", "--routes", "det,det"], "duplicate route names"),
+    (["correlator", "--L", "inf", "--x-max", "3", "--routes", "ed"], "no usable routes left"),
+    (["finite-size", "--L-list", ","], "--L-list is empty"),
+])
+def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_exact_agreement_gate_trips_on_non_finite_values():
     for bad in (math.nan, math.inf, -math.inf):
         for other in (-0.318, 0.0):
@@ -302,7 +336,7 @@ def _no_det_route(monkeypatch):
     monkeypatch.setattr(cli, "correlator_det_sweep", forbidden)
 
 
-def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):
+def test_product_last_cell_past_det_guard_needs_no_fence(capsys, monkeypatch):
     # x = L-1 above the det guard is a sine-product cell like any other: no fence, no warning
     _no_det_route(monkeypatch)
     argv = ["correlator", "--L", "8194", "--x-max", "8193", "--routes", "product", "--format", "json"]
@@ -316,7 +350,7 @@ def test_product_det_fallback_fenced_up_front(capsys, monkeypatch):
     assert abs(product[-1] / product[0] - 1) <= 1e-15
 
 
-def test_finite_size_det_fallback_fenced_up_front(capsys, monkeypatch):
+def test_finite_size_last_cell_past_det_guard_is_the_product(capsys, monkeypatch):
     # --x-frac 0.99999 puts L = 10002 at x = L-1, past the det guard: the row is the sine product's
     _no_det_route(monkeypatch)
     argv = ["finite-size", "--L-list", "102,10002", "--x-frac", "0.99999", "--format", "json"]
@@ -329,13 +363,13 @@ def test_finite_size_det_fallback_fenced_up_front(capsys, monkeypatch):
     assert doc["rows"][1]["exact"] == correlator_sweep(10001, LatticeSpec(10002))[-1]
 
 
-def test_finite_size_det_fallback_below_guard_runs(capsys):
+def test_finite_size_last_cell_below_det_guard_runs(capsys):
     code, out, _ = run(["finite-size", "--L-list", "102", "--x-frac", "0.99999", "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out)["rows"][0]["L"] == 102
 
 
-def test_product_det_fallback_is_reported(capsys):
+def test_product_last_cell_raises_no_warning(capsys):
     # nothing to report: x = L-1 is as much the sine product's as x = L-2
     argv = ["correlator", "--L", "10", "--routes", "product", "--format", "json", "--x-max"]
     for x_max in (9, 8):

@@ -16,6 +16,7 @@ from xxchain import (
     ed_spectral_gap,
     spin_sector,
 )
+from xxchain import ed
 from xxchain.ed import (
     _hamiltonian,
     _momentum_ground_state,
@@ -129,8 +130,20 @@ def test_ed_sweep_equals_per_x(L, even_m):
     sweep = ed_correlator_sweep(L, L - 1, allow_even_m=even_m)
     assert sweep.shape == (L - 1,)
     for x in range(1, L):
-        assert rel(sweep[x - 1], ed_correlator(L, x, allow_even_m=even_m)) <= 1e-14
+        assert rel(sweep[x - 1], np.mean(ed_correlator_by_site(L, x, allow_even_m=even_m))) <= 1e-14
     assert np.allclose(ed_correlator_sweep(L, 2, allow_even_m=even_m), sweep[:2], rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("L, even_m", [(6, False), (10, False), (14, False), (18, False),
+                                       (8, True), (12, True), (16, True)])
+def test_ed_correlator_is_the_sweep_cell(L, even_m, monkeypatch):
+    # one ED value per distance: the scalar form reads the sweep's pair pass, not the float64 oracle
+    def oracle(*args, **kwargs):
+        raise AssertionError("ed_correlator called the float64 oracle")
+
+    sweep = ed_correlator_sweep(L, L - 1, allow_even_m=even_m)
+    monkeypatch.setattr(ed, "ed_correlator_by_site", oracle)
+    assert [ed_correlator(L, x, allow_even_m=even_m) for x in range(1, L)] == sweep.tolist()
 
 
 def test_ed_sweep_guards():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from refs import momentum_filling_energy, rel
-from xxchain import ed_correlator, ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
+from xxchain import ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
 from xxchain import ed
 from xxchain.ed import (
     _LANCZOS_STEPS,
@@ -16,6 +16,7 @@ from xxchain.ed import (
     _orbits,
     _pair_values,
     _start_vector,
+    ed_correlator_by_site,
     ed_correlator_sweep,
 )
 
@@ -177,7 +178,7 @@ def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
     assert energy == pytest.approx(momentum_filling_energy(L), abs=1e-11)
     assert ed_spectral_gap(L) > 1e-6
     G = ed_correlator_sweep(L, L - 1)
-    assert rel(G[2], ed_correlator(L, 3)) <= 1e-14
+    assert rel(G[2], np.mean(ed_correlator_by_site(L, 3))) <= 1e-14
 
 
 @pytest.mark.parametrize("L", [12, 16])
@@ -191,7 +192,7 @@ def test_even_m_rings_use_the_full_sector(L, monkeypatch):
     assert energy == e_full and psi is psi_full
     sweep = ed_correlator_sweep(L, 3, allow_even_m=True)
     for x in (1, 2, 3):
-        assert rel(sweep[x - 1], ed_correlator(L, x, allow_even_m=True)) <= 1e-14
+        assert rel(sweep[x - 1], np.mean(ed_correlator_by_site(L, x, allow_even_m=True))) <= 1e-14
 
 
 def test_k_pi_solve_reproducible():

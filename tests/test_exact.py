@@ -103,7 +103,7 @@ def test_energy_identity():
     assert 2.0 * correlator(1, INFINITE).value == pytest.approx(-2.0 / PI, rel=1e-12)
 
 
-def test_fallback_at_last_distance():
+def test_last_distance_is_a_product_cell():
     # x = L-1 reads R_{L/2} from the sine product, as x = L-2 reads R_{L/2-1}
     lat = LatticeSpec.finite(10)
     sample = correlator(9, lat)
@@ -113,7 +113,7 @@ def test_fallback_at_last_distance():
 
 
 @pytest.mark.parametrize("L", [18, 62, 1102, 1202])
-def test_last_ring_cell_is_the_det_sweep(L):
+def test_last_ring_cell_is_the_product_sweep_cell(L):
     # G(L-1) = G(1) by reflection, which neither route builds in: the product cell equals
     # G(1) here, the det sweep's cell is within 3.5e-16 of it and the dense float64 oracle
     # 5.3e-14 off at L = 1102
