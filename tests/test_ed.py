@@ -11,12 +11,12 @@ from xxchain import (
     SizeError,
     correlator,
     correlator_det,
+    ed,
     ed_correlator,
     ed_ground_state,
     ed_spectral_gap,
     spin_sector,
 )
-from xxchain import ed
 from xxchain.ed import (
     _hamiltonian,
     _momentum_ground_state,
