@@ -42,6 +42,10 @@ __all__ = [
 _P_MAX = 30          # 4^-p decay puts the p-series below 1e-18 by here
 _P_TOL = 1e-18
 
+# amplitude_report's and the CLI's defaults; asymptotic_params' C0 is the report's at N_FIT
+N_FIT = 10000
+X_FIT_MAX = 2000
+
 
 @dataclass(frozen=True)
 class ConstantsReport:
@@ -246,6 +250,10 @@ def _richardson_limit(f, n: int) -> float:
     return (4.0 * f2 - f1) / 3.0
 
 
+def _c0(ln_b: float) -> float:
+    return math.sqrt(math.pi) * math.exp(2.0 * ln_b) / math.sqrt(2.0)
+
+
 def first_term_comparison() -> dict[str, float]:
     """The N-independent first term, against both closed forms in circulation.
 
@@ -264,7 +272,7 @@ def first_term_comparison() -> dict[str, float]:
     }
 
 
-def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsReport:
+def amplitude_report(n_fit: int = N_FIT, x_fit_max: int = X_FIT_MAX) -> ConstantsReport:
     """Assemble every route into one report.
 
     ``n_fit`` sets the (N/2, N) pair used to extrapolate ln B out of the
@@ -290,8 +298,7 @@ def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsRepo
 
     glaisher_a, zeta_prime = glaisher()
 
-    b_sq = math.exp(2.0 * ln_b["series"])
-    c0 = math.sqrt(math.pi) * b_sq / math.sqrt(2.0)
+    c0 = _c0(ln_b["series"])
     amplitude_half = c0 / (2.0 * math.sqrt(math.pi))
 
     # least-squares slope of (exact - leading) against x^(-5/2), even x
@@ -318,13 +325,12 @@ def amplitude_report(n_fit: int = 10000, x_fit_max: int = 2000) -> ConstantsRepo
 
 
 def asymptotic_params() -> AsymptoticParams:
-    """Leading-order parameters (alpha = 1/2, C0) from the Glaisher route.
+    """Leading-order parameters (alpha = 1/2, C0) from the polygamma-series route.
 
-    Cheap closed-form alternative to :func:`amplitude_report` for consumers
-    that only need C0: ln B = (ln 2)/12 + 1/4 - 3 ln A.  C0 is within
-    8.4e-15 relative of mpmath at 40 digits.
+    For consumers that only need C0: ln B is the Richardson limit of
+    :func:`log_r_series` at the (N_FIT/2, N_FIT) pair, so C0 is bit for bit
+    ``amplitude_report().c0``, the value the ``constants`` command prints.  It is
+    within 9.6e-16 relative of mpmath at 40 digits.  Nothing here reads the
+    sine product, so the asym column stays independent of the product route.
     """
-    glaisher_a, _ = glaisher()
-    ln_b = math.log(2.0) / 12.0 + 0.25 - 3.0 * math.log(glaisher_a)
-    c0 = math.sqrt(math.pi) * math.exp(2.0 * ln_b) / math.sqrt(2.0)
-    return AsymptoticParams(alpha=0.5, c0=c0)
+    return AsymptoticParams(alpha=0.5, c0=_c0(_richardson_limit(log_r_series, N_FIT)))

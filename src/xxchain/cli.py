@@ -25,7 +25,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .amplitude import amplitude_report, asymptotic_params
+from .amplitude import N_FIT, X_FIT_MAX, amplitude_report, asymptotic_params
 from .asymptotics import asym_finite, asym_infinite
 from .ed import MAX_ED_LENGTH, ed_correlator_sweep
 from .errors import DomainError, SizeError
@@ -231,24 +231,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routes", default="det,product", help=f"comma list from {','.join(KNOWN_ROUTES)}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
+    p.set_defaults(handler=cmd_correlator, subparser=p)
 
     p = sub.add_parser("constants", help="compute the constants report")
-    p.add_argument("--n-fit", type=int, default=10000)
-    p.add_argument("--x-fit-max", type=int, default=2000)
+    p.add_argument("--n-fit", type=int, default=N_FIT)
+    p.add_argument("--x-fit-max", type=int, default=X_FIT_MAX)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=cmd_constants, subparser=p)
 
     p = sub.add_parser("finite-size", help="deviation from the finite-ring form at fixed x/L")
     p.add_argument("--L-list", required=True, help="comma-separated ring lengths")
     p.add_argument("--x-frac", type=float, default=0.5)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
+    p.set_defaults(handler=cmd_finite_size, subparser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # usage errors name the subcommand, as argparse's own do
+    parser = args.subparser
     if args.out is not None:
         # an existing target (such as /dev/null) is judged by itself, a new one by its directory
         if os.path.exists(args.out):
@@ -259,11 +263,7 @@ def main(argv=None) -> int:
         if not writable:
             parser.error(f"--out {args.out!r} is not a writable file path")
     try:
-        if args.command == "correlator":
-            return cmd_correlator(args, parser)
-        if args.command == "constants":
-            return cmd_constants(args, parser)
-        return cmd_finite_size(args, parser)
+        return args.handler(args, parser)
     except (DomainError, SizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,18 +52,9 @@ class LatticeSpec:
     def finite(cls, L: int) -> "LatticeSpec":
         return cls(L)
 
-    @classmethod
-    def infinite(cls) -> "LatticeSpec":
-        return cls(None)
-
     @property
     def is_finite(self) -> bool:
         return self.length is not None
-
-    @property
-    def m(self) -> int | None:
-        """Number of fermions at half filling (L/2), or None for L = inf."""
-        return None if self.length is None else self.length // 2
 
     def __str__(self) -> str:
         return "inf" if self.length is None else str(self.length)

@@ -1,12 +1,7 @@
 """Smoke test of tools/bench_layers.py: every layer at its smallest size, in process."""
 
-import os
-import sys
-
+import bench_layers
 import xxchain
-
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools"))
-import bench_layers  # noqa: E402
 
 
 def test_every_layer_at_its_smallest_size(monkeypatch):

@@ -160,11 +160,17 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     (["correlator", "--L", "10", "--x-max", "3", "--routes", "det,det"], "duplicate route names"),
     (["correlator", "--L", "inf", "--x-max", "3", "--routes", "ed"], "no usable routes left"),
     (["finite-size", "--L-list", ","], "--L-list is empty"),
+    (["correlator", "--L", "10", "--x-max", "10"], "--x-max must lie in [1, L-1], got 10"),
+    (["constants", "--n-fit", "100"], "--n-fit must be >= 1000, got 100"),
+    (["finite-size", "--L-list", "10", "--x-frac", "2"], "--x-frac must lie strictly inside (0, 1), got 2.0"),
+    (["finite-size", "--L-list", "10", "--out", "."], "--out '.' is not a writable file path"),
 ])
 def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
+    # a command's own checks speak as argparse's do: the subcommand's usage, then its prefix
     code, out, err = run(argv, capsys)
     assert code == 2
-    assert message in err
+    assert f"usage: xxchain {argv[0]} [-h]" in err
+    assert err.splitlines()[-1] == f"xxchain {argv[0]}: error: {message}"
     assert out == ""
 
 
@@ -251,6 +257,17 @@ def test_constants_default_run(capsys):
     assert f"{consts['glaisher_a']:.6f}" == "1.282427"
     assert consts["pairwise_max_dev"] <= 1e-6
     assert "pairwise_max_dev" in err  # printed prominently
+
+
+def test_every_command_prints_the_constants_c0(capsys):
+    code, out, _ = run(["constants", "--format", "json"], capsys)
+    assert code == 0
+    c0 = json.loads(out)["constants"]["c0"]
+    for argv in (["correlator", "--L", "inf", "--x-max", "5", "--routes", "product,asym"],
+                 ["finite-size", "--L-list", "1202"]):
+        code, out, _ = run(argv + ["--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["c0"] == c0, argv[0]
 
 
 def test_finite_size_adjusts_lengths(capsys):

@@ -185,6 +185,9 @@ LAYERS = {
         _constant("ln_b"), 1e-13),
     "constants.glaisher": Layer((None,), _call(lambda xx, _: xx.glaisher()),
                                 _constant("glaisher_a", "zeta_prime_minus1"), 3e-14),
+    # the C0 of the asym column and of finite-size
+    "constants.c0": Layer((None,), _call(lambda xx, _: xx.asymptotic_params(), lambda p: [p.c0]),
+                          _constant("c0"), 3e-15),
 }
 
 
