@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .asymptotics import AsymptoticParams
-from .errors import check_int
+from .errors import DomainError, check_int
 from .exact import log_r_table
 from .greens import INFINITE
 from .special import bernoulli_rationals, polygamma, zeta_em
@@ -243,10 +243,9 @@ def glaisher() -> tuple[float, float]:
 
 
 def _richardson_limit(f, n: int) -> float:
-    """Limit of f(N) + (1/4) ln N, removing the 1/N^2 term from (N/2, N)."""
-    n1 = n // 2
-    f1 = f(n1) + 0.25 * math.log(n1)
-    f2 = f(2 * n1) + 0.25 * math.log(2 * n1)
+    """Limit of f(N) + (1/4) ln N, removing the 1/N^2 term from the pair (n/2, n); n is even."""
+    f1 = f(n // 2) + 0.25 * math.log(n // 2)
+    f2 = f(n) + 0.25 * math.log(n)
     return (4.0 * f2 - f1) / 3.0
 
 
@@ -275,13 +274,15 @@ def first_term_comparison() -> dict[str, float]:
 def amplitude_report(n_fit: int = N_FIT, x_fit_max: int = X_FIT_MAX) -> ConstantsReport:
     """Assemble every route into one report.
 
-    ``n_fit`` sets the (N/2, N) pair used to extrapolate ln B out of the
+    ``n_fit``, even, sets the (N/2, N) pair used to extrapolate ln B out of the
     product, gamma-product and polygamma-series routes; ``x_fit_max`` bounds
     the even-x window [20, x_fit_max] of the least-squares fit for the
     subleading coefficient.  C0 and C0/(2 sqrt(pi)) derive from the series
     value of ln B via C0 = sqrt(pi) B^2 / sqrt(2).
     """
     n_fit = check_int("n_fit", n_fit, 1000)
+    if n_fit % 2:
+        raise DomainError(f"n_fit must be even, got {n_fit}")
     x_fit_max = check_int("x_fit_max", x_fit_max, 1000)
 
     integral = lukyanov_integral()

@@ -158,6 +158,8 @@ def cmd_constants(args, parser) -> int:
             parser.error(f"{flag} must be >= 1000, got {value}")
         if value > MAX_RING_LENGTH:
             parser.error(f"{flag} {value} exceeds the ring-length guard {MAX_RING_LENGTH}")
+    if args.n_fit % 2:
+        parser.error(f"--n-fit must be even, got {args.n_fit}")
     report = amplitude_report(n_fit=args.n_fit, x_fit_max=args.x_fit_max)
     values = report.as_dict()
     meta = base_meta(__version__, command="constants", n_fit=args.n_fit, x_fit_max=args.x_fit_max)

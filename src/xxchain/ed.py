@@ -10,7 +10,7 @@ On the M-odd rings of the closed formulas the ground state is found in the
 k = pi momentum sector, where it lies for the +1 hop (translation eigenvalue
 -1): one state per translation orbit, C(L, L/2)/L of them (2,704 at L = 18
 against 48,620 in the full sector).  That sector's Hamiltonian is kept as
-per-bond triplets and solved by one small numpy Lanczos loop, run in two
+one hop triplet and solved by one small numpy Lanczos loop, run in two
 precisions: in float64 from a fixed start vector, then for a few steps in
 ``np.longdouble`` from the float64 vector.  The longdouble vector is expanded
 to full-sector amplitudes, which are then exactly antisymmetric under
@@ -195,36 +195,34 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return leaders, np.searchsorted(leaders, leader), phase
 
 
-def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> list:
+def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> tuple:
     """H in the orthonormal k = pi states |a> = P_a^(-1/2) sum_r (-1)^r T^r |leader_a>.
 
     A hop that takes leader a to s = T^l(leader_b) adds (-1)^l sqrt(P_a/P_b)
     to element (b, a), with P = ``np.bincount(orbit)`` from :func:`_orbits`.
-    H is kept as one ``(a, b, d)`` triple of arrays per bond, H[b, a] += d;
-    ``a`` holds no repeats within a bond, which :func:`_apply` relies on.
-    Entries are longdouble, for the longdouble Lanczos run.
+    H is one hop triplet ``(a, b, d)`` of arrays, H[b, a] += d, bond-major
+    (bond 0's hops, then bond 1's, ..., each bond's in ascending ``a``), with
+    longdouble entries for the longdouble Lanczos run.
     """
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
-    bonds = []
-    for i in range(L):
-        j = (i + 1) % L
-        a = np.nonzero(((leaders >> i) & 1) != ((leaders >> j) & 1))[0]
-        hop = sector.index(leaders[a] ^ ((1 << i) | (1 << j)))
-        b = orbit[hop]
-        bonds.append((a, b, phase[hop] * np.sqrt(lengths[a] / lengths[b])))
-    return bonds
+    i = np.arange(L)[:, None]
+    bond, a = np.nonzero(((leaders >> i) & 1) != ((leaders >> (i + 1) % L) & 1))
+    hop = sector.index(leaders[a] ^ ((1 << bond) | (1 << (bond + 1) % L)))
+    b = orbit[hop]
+    # a copy: the view would keep nonzero's buffer, bond included, alive
+    return a.copy(), b, phase[hop] * np.sqrt(lengths[a] / lengths[b])
 
 
-def _apply(bonds: list, v: np.ndarray) -> np.ndarray:
-    """H @ v for H as bond triplets, in the dtype of the triplets' entries.
+def _apply(H: tuple, v: np.ndarray) -> np.ndarray:
+    """H @ v for H as the hop triplet ``(a, b, d)``, in the dtype of ``d``.
 
-    Each bond scatters into its own ``a``, free of repeats, so one fancy
-    ``+=`` per bond is exact; it applies the transpose of H, which is H.
+    ``np.add.at`` adds each row's hops in the triplet's bond order, as a
+    sequential sum over hops does; it applies the transpose of H, which is H.
     """
-    out = np.zeros(len(v), dtype=bonds[0][2].dtype)
-    for a, b, d in bonds:
-        out[a] += d * v[b]
+    a, b, d = H
+    out = np.zeros(len(v), dtype=d.dtype)
+    np.add.at(out, a, d * v[b])
     return out
 
 
@@ -262,16 +260,17 @@ def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     return y @ ty, y
 
 
-def _lanczos(bonds: list, q: np.ndarray, steps: int) -> tuple:
+def _lanczos(H: tuple, q: np.ndarray, steps: int) -> tuple:
     """Lowest eigenpair of H by Lanczos from q, in q's dtype: ``(energy, vector, steps, converged)``.
 
     The one k = pi Lanczos, run twice by :func:`_momentum_ground_state`: in
     float64 from :func:`_start_vector`, then in longdouble from the float64
-    vector, on bonds of the same dtype.  The Krylov block is allocated once for
-    ``min(len(q), steps)`` vectors and reorthogonalised in full, twice per
-    step.  Each step takes the lowest Ritz pair of the tridiagonal T from
-    :func:`_lowest_ritz_pair`; no dense eigenvector solve, whose divide and
-    conquer calls ``dgemm`` from m = 26 on and leaves BLAS threads spinning.
+    vector, on the hop triplet H with ``d`` in the same dtype (:func:`_apply`).
+    The Krylov block is allocated once for ``min(len(q), steps)`` vectors and
+    reorthogonalised in full, twice per step.  Each step takes the lowest Ritz
+    pair of the tridiagonal T from :func:`_lowest_ritz_pair`; no dense
+    eigenvector solve, whose divide and conquer calls ``dgemm`` from m = 26 on
+    and leaves BLAS threads spinning.
     The run has converged when the pair's residual |beta_m y_m| reaches the
     dtype's eps |theta| or when the Krylov space is exhausted, where the pair
     is exact; otherwise it stops after ``steps`` steps.  The free-fermion
@@ -285,7 +284,7 @@ def _lanczos(bonds: list, q: np.ndarray, steps: int) -> tuple:
     alpha, beta = np.zeros(steps, dtype=q.dtype), np.zeros(steps, dtype=q.dtype)
     Q[0] = q / np.linalg.norm(q)
     for m in range(1, steps + 1):
-        w = _apply(bonds, Q[m - 1])
+        w = _apply(H, Q[m - 1])
         alpha[m - 1] = Q[m - 1] @ w
         for _ in range(2):
             w -= (Q[:m] @ w) @ Q[:m]
@@ -308,12 +307,12 @@ def _momentum_ground_state(L: int):
     # with M odd every orbit length is even (L/P divides M), so every orbit
     # carries one k = pi state
     leaders, orbit, phase = _orbits(sector)
-    bonds = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
     _, v, steps, converged = _lanczos(
-        [(a, b, d.astype(np.float64)) for a, b, d in bonds], _start_vector(len(leaders)), _LANCZOS_STEPS)
+        (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
     if not converged:
         raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
-    energy, c, _, _ = _lanczos(bonds, v.astype(np.longdouble), _POLISH_STEPS)
+    energy, c, _, _ = _lanczos((a, b, d), v.astype(np.longdouble), _POLISH_STEPS)
     c /= np.sqrt(c @ c)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
     psi_ld = c[orbit]

@@ -257,6 +257,9 @@ def test_preconditions():
         amplitude_report(n_fit=100)
     with pytest.raises(DomainError):
         amplitude_report(x_fit_max=500)
+    # the fit pair is (N/2, N): an odd n_fit of 1001 fitted (500, 1000)
+    with pytest.raises(DomainError, match=r"^n_fit must be even, got 1001$"):
+        amplitude_report(n_fit=1001)
 
 
 @pytest.mark.parametrize("N", [1, 2, 9, 10, 11, 500, 10000])

@@ -164,6 +164,7 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     (["constants", "--n-fit", "100"], "--n-fit must be >= 1000, got 100"),
     (["finite-size", "--L-list", "10", "--x-frac", "2"], "--x-frac must lie strictly inside (0, 1), got 2.0"),
     (["finite-size", "--L-list", "10", "--out", "."], "--out '.' is not a writable file path"),
+    (["constants", "--n-fit", "1001"], "--n-fit must be even, got 1001"),
 ])
 def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
     # a command's own checks speak as argparse's do: the subcommand's usage, then its prefix
@@ -234,6 +235,12 @@ def test_constants_flag_validation(capsys):
     assert code == 2
     code, _, _ = run(["constants", "--x-fit-max", "10"], capsys)
     assert code == 2
+
+
+def test_constants_even_n_fit_runs(capsys):
+    code, out, _ = run(["constants", "--n-fit", "1002", "--x-fit-max", "1000", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["meta"]["n_fit"] == 1002
 
 
 def test_constants_sizes_fenced_up_front(capsys, monkeypatch):

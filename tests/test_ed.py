@@ -92,8 +92,9 @@ def test_ed_memory_scales_with_the_sector():
 
 def test_k_pi_solve_memory():
     # traced peak of the k = pi solve in basis units, with the sector cached;
-    # it bounds ED's memory.  Orbit-sized work keeps it near 8.7, set by the
-    # Lanczos block: a per-state orbit-length array and a full-sector
+    # it bounds ED's memory.  Orbit-sized work keeps it near 9.5, reached in
+    # the float64 Lanczos: its block of 64 vectors and the matvec's hop-sized
+    # temporaries.  A per-state orbit-length array and a full-sector
     # longdouble sqrt(length) read 11.8
 
     L = 18

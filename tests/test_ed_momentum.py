@@ -8,6 +8,7 @@ from xxchain import ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
 from xxchain import ed
 from xxchain.ed import (
     _LANCZOS_STEPS,
+    _apply,
     _hamiltonian,
     _lanczos,
     _lowest_pair,
@@ -35,51 +36,63 @@ def _full_sector_correlators(L):
     return np.mean([_pair_values(sector, psi, i, range(1, L)) for i in range(L)], axis=0)
 
 
-def _k_pi_bonds(L):
+def _k_pi_hamiltonian(L, dtype=np.float64):
     sector = spin_sector(L)
     leaders, orbit, phase = _orbits(sector)
-    bonds = _momentum_hamiltonian(sector, leaders, orbit, phase)
-    return [(a, b, d.astype(np.float64)) for a, b, d in bonds], len(leaders)
+    a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    return (a, b, d.astype(dtype)), len(leaders)
 
 
-def _dense(bonds, dim):
-    H = np.zeros((dim, dim), dtype=bonds[0][2].dtype)
-    for a, b, d in bonds:
-        np.add.at(H, (b, a), d)
-    return H
+def _dense(H, dim):
+    a, b, d = H
+    dense = np.zeros((dim, dim), dtype=d.dtype)
+    np.add.at(dense, (b, a), d)
+    return dense
 
 
 @pytest.mark.parametrize("L", [6, 10, 14])
 def test_k_pi_bond_matrix_is_symmetric(L):
-    # the matvec scatters each bond into a, so it applies H^T
-    bonds, dim = _k_pi_bonds(L)
-    for a, _, _ in bonds:
-        assert len(np.unique(a)) == len(a)
-    H = _dense(bonds, dim)
-    assert np.array_equal(H, H.T)
+    # the matvec scatters into a, so it applies H^T
+    H, dim = _k_pi_hamiltonian(L)
+    dense = _dense(H, dim)
+    assert np.array_equal(dense, dense.T)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize("L", [6, 10, 14])
+def test_apply_is_the_sequential_hop_sum(L, dtype):
+    # each row adds its hops in the triplet's bond order, as this loop does;
+    # the solve's states depend on that order bit for bit (a row-sorted
+    # np.add.reduceat sums pairwise and moves the float64 matvec by 8.9e-16)
+    (a, b, d), dim = _k_pi_hamiltonian(L, dtype)
+    v = _start_vector(dim).astype(dtype)
+    expected = np.zeros(dim, dtype=dtype)
+    for k in range(len(a)):
+        expected[a[k]] += d[k] * v[b[k]]
+    assert np.array_equal(_apply((a, b, d), v), expected)
 
 
 @pytest.mark.parametrize("L", [6, 10, 14])
 def test_lanczos_energy_matches_dense_spectrum(L):
-    bonds, dim = _k_pi_bonds(L)
-    energy, _, _, _ = _lanczos(bonds, _start_vector(dim), _LANCZOS_STEPS)
-    assert abs(energy - np.linalg.eigvalsh(_dense(bonds, dim))[0]) <= 1e-13
+    H, dim = _k_pi_hamiltonian(L)
+    energy, _, _, _ = _lanczos(H, _start_vector(dim), _LANCZOS_STEPS)
+    assert abs(energy - np.linalg.eigvalsh(_dense(H, dim))[0]) <= 1e-13
 
 
 @pytest.mark.parametrize("L", [6, 10])
 def test_lanczos_ends_on_krylov_exhaustion(L):
     # below the step budget the Krylov space of the start vector runs out
     # after one step per distinct eigenvalue, and the Ritz pair is exact
-    bonds, dim = _k_pi_bonds(L)
-    H = _dense(bonds, dim)
-    w = np.linalg.eigvalsh(H)
+    H, dim = _k_pi_hamiltonian(L)
+    dense = _dense(H, dim)
+    w = np.linalg.eigvalsh(dense)
     distinct = 1 + int(np.sum(np.diff(w) > 1e-9))
-    energy, v, steps, converged = _lanczos(bonds, _start_vector(dim), _LANCZOS_STEPS)
+    energy, v, steps, converged = _lanczos(H, _start_vector(dim), _LANCZOS_STEPS)
     assert dim < _LANCZOS_STEPS and converged
     assert steps == distinct < dim
     assert abs(energy - w[0]) <= 1e-13
     assert abs(np.linalg.norm(v) - 1) <= 1e-14
-    assert np.linalg.norm(H @ v - energy * v) <= 1e-14
+    assert np.linalg.norm(dense @ v - energy * v) <= 1e-14
 
 
 def test_lanczos_raises_when_the_budget_runs_out(monkeypatch):
@@ -87,22 +100,19 @@ def test_lanczos_raises_when_the_budget_runs_out(monkeypatch):
     _momentum_ground_state.cache_clear()
     with pytest.raises(ArithmeticError, match="8 steps"):
         ed_ground_state(14)
-    bonds, dim = _k_pi_bonds(14)
-    assert _lanczos(bonds, _start_vector(dim), 8)[2:] == (8, False)
+    H, dim = _k_pi_hamiltonian(14)
+    assert _lanczos(H, _start_vector(dim), 8)[2:] == (8, False)
 
 
 def test_lanczos_converges_in_longdouble():
-    # the same loop on the longdouble bonds stops on its own eps, far below float64's
-    L = 10
-    sector = spin_sector(L)
-    leaders, orbit, phase = _orbits(sector)
-    bonds, dim = _momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
-    energy, v, steps, converged = _lanczos(bonds, _start_vector(dim).astype(np.longdouble), _LANCZOS_STEPS)
+    # the same loop on the longdouble triplet stops on its own eps, far below float64's
+    H, dim = _k_pi_hamiltonian(10, np.longdouble)
+    energy, v, steps, converged = _lanczos(H, _start_vector(dim).astype(np.longdouble), _LANCZOS_STEPS)
     assert converged and steps < dim
     assert energy.dtype == v.dtype == np.longdouble
-    H = _dense(bonds, dim)
+    dense = _dense(H, dim)
     v = v / np.sqrt(v @ v)
-    residual = H @ v - energy * v
+    residual = dense @ v - energy * v
     assert float(np.sqrt(residual @ residual)) <= 1e-17 * abs(float(energy))
 
 

@@ -91,7 +91,8 @@ def _sweep_ref(L, x_max: int) -> list:
 def _ed(stage: int):
     """``prepare`` of stage 0 (basis and orbits), 1 (k = pi Hamiltonian) or 2 (the one
     Lanczos, run in float64 and then in longdouble) of the ED solve.  Its output is checked by running the
-    later stages untimed: the ground energy, 2 L G(1), against the reference."""
+    later stages untimed: the ground energy, 2 L G(1), against the reference.  The Hamiltonian is one
+    hop triplet ``(a, b, d)``, or a list of per-bond triplets on trees from before that layout."""
 
     def prepare(xx, L):
         def basis():
@@ -103,7 +104,10 @@ def _ed(stage: int):
             return xx.ed._momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
 
         def eigensolver(H, dim):
-            H64 = [(a, b, d.astype(np.float64)) for a, b, d in H]
+            if isinstance(H, list):
+                H64 = [(a, b, d.astype(np.float64)) for a, b, d in H]
+            else:
+                H64 = (H[0], H[1], H[2].astype(np.float64))
             v = xx.ed._lanczos(H64, xx.ed._start_vector(dim), xx.ed._LANCZOS_STEPS)[1]
             return [float(xx.ed._lanczos(H, v.astype(np.longdouble), xx.ed._POLISH_STEPS)[0])]
 
@@ -286,7 +290,7 @@ def cli_commands() -> dict[str, list[str]]:
 
     steps = constants_large_n(SimpleNamespace(prepare_single=lambda x, L: None), random.Random(1), 1.0)
     return {"inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
-            "correlator": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
+            "ed-oracle": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
             "ring-last-cell": ["correlator", "--L", "4094", "--x-max", "4093", "--routes", "product"],
             "constants": ["constants"],
             "finite-size": list(steps[-1].argv)}
