@@ -32,14 +32,7 @@ from .errors import DomainError, SizeError
 from .exact import MAX_DET_SIZE, MAX_RING_LENGTH, correlator, correlator_det_sweep, correlator_sweep
 from .greens import INFINITE, LatticeSpec
 from .tables import (
-    RouteComparison,
-    base_meta,
-    comparison_to_csv,
-    comparison_to_json,
-    constants_to_csv,
-    constants_to_json,
-    scaling_to_csv,
-    scaling_to_json,
+    RouteComparison, base_meta, columns_to_csv, comparison_columns, comparison_to_json, doc_to_json
 )
 
 KNOWN_ROUTES = ("det", "product", "ed", "asym")
@@ -141,7 +134,7 @@ def cmd_correlator(args, parser) -> int:
     values = [columns[name] for name in routes]
     table = RouteComparison(str(lattice), routes, np.arange(1, x_max + 1), values, meta)
     _write(
-        comparison_to_csv(table) if args.format == "csv" else comparison_to_json(table),
+        columns_to_csv(*comparison_columns(table)) if args.format == "csv" else comparison_to_json(table),
         args.out,
     )
 
@@ -163,10 +156,10 @@ def cmd_constants(args, parser) -> int:
     report = amplitude_report(n_fit=args.n_fit, x_fit_max=args.x_fit_max)
     values = report.as_dict()
     meta = base_meta(__version__, command="constants", n_fit=args.n_fit, x_fit_max=args.x_fit_max)
-    _write(
-        constants_to_csv(values) if args.format == "csv" else constants_to_json(values, meta),
-        args.out,
-    )
+    if args.format == "csv":
+        _write(columns_to_csv(["name", "value"], [list(values), list(values.values())]), args.out)
+    else:
+        _write(doc_to_json(meta, constants=values), args.out)
     print(f"pairwise_max_dev = {report.pairwise_max_dev:.3e} (tolerance {CONSTANTS_TOL:.0e})",
           file=sys.stderr)
     return 0 if report.pairwise_max_dev <= CONSTANTS_TOL else 1
@@ -189,19 +182,12 @@ def cmd_finite_size(args, parser) -> int:
 
     params = asymptotic_params()
     adjustments = [f"{L_req}->{L}" for L_req, L in zip(requested, lengths) if L != L_req]
-    rows = []
-    for L, x in zip(lengths, distances):
-        lattice = LatticeSpec.finite(L)
-        exact = correlator(x, lattice).value
-        asym = asym_finite(x, L, params)
-        rows.append(
-            {
-                "L": L,
-                "exact": exact,
-                "asym_finite": asym,
-                "deviation_times_L": (exact / asym - 1.0) * L,
-            }
-        )
+    columns = {
+        "L": lengths,
+        "exact": [correlator(x, LatticeSpec.finite(L)).value for L, x in zip(lengths, distances)],
+        "asym_finite": [asym_finite(x, L, params) for L, x in zip(lengths, distances)],
+    }
+    columns["deviation_times_L"] = [(exact / asym - 1.0) * L for L, exact, asym in zip(*columns.values())]
     meta = base_meta(
         __version__,
         command="finite-size",
@@ -212,10 +198,10 @@ def cmd_finite_size(args, parser) -> int:
     )
     if adjustments:
         print("note: adjusted to L/2-odd lengths: " + ", ".join(adjustments), file=sys.stderr)
-    _write(
-        scaling_to_csv(rows) if args.format == "csv" else scaling_to_json(rows, meta),
-        args.out,
-    )
+    if args.format == "csv":
+        _write(columns_to_csv(list(columns), list(columns.values())), args.out)
+    else:
+        _write(doc_to_json(meta, rows=[dict(zip(columns, row)) for row in zip(*columns.values())]), args.out)
     return 0
 
 

@@ -13,6 +13,11 @@ table reproduces the original doubles bit for bit.  CSV uses LF endings,
 
 JSON documents carry a ``schema_version`` field and a ``meta`` block with
 the generation timestamp and tool version.
+
+Each format has one writer: :func:`columns_to_csv` prints every CSV table
+(the comparison's header and columns come from :func:`comparison_columns`),
+and :func:`doc_to_json` builds every JSON document's envelope, the
+comparison's nested rows (:func:`comparison_to_json`) included.
 """
 
 from __future__ import annotations
@@ -70,16 +75,26 @@ def base_meta(tool_version: str, **extra) -> dict:
     return meta
 
 
-def comparison_to_csv(table: RouteComparison) -> str:
-    header = (
-        ["x"]
-        + [f"route:{name}" for name in table.routes]
-        + [f"relerr:{pair}" for pair in table.rel_errs]
-    )
-    columns = [map(str, table.x.tolist())]
-    columns += [map(fmt, col.tolist()) for col in (*table.values, *table.rel_errs.values())]
-    lines = [",".join(header)] + [",".join(cells) for cells in zip(*columns)]
+def columns_to_csv(header: list[str], columns: list) -> str:
+    """A CSV table from its header and its columns, each rendered once.
+
+    Float columns print through :func:`fmt`; int and str columns through ``str``.
+    """
+    cells = [map(fmt if col.dtype.kind == "f" else str, col.tolist()) for col in map(np.asarray, columns)]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
+
+
+def doc_to_json(meta: dict, **body) -> str:
+    """A JSON document: ``schema_version``, the ``meta`` block, then ``body``'s keys in order."""
+    return json.dumps({"schema_version": SCHEMA_VERSION, "meta": meta, **body}, indent=2) + "\n"
+
+
+def comparison_columns(table: RouteComparison) -> tuple[list[str], list[np.ndarray]]:
+    """The header and columns of a comparison: ``x``, each route, each relerr pair."""
+    header = ["x", *(f"route:{name}" for name in table.routes)]
+    header += [f"relerr:{pair}" for pair in table.rel_errs]
+    return header, [table.x, *table.values, *table.rel_errs.values()]
 
 
 def comparison_from_csv(text: str) -> RouteComparison:
@@ -98,37 +113,11 @@ def comparison_from_csv(text: str) -> RouteComparison:
 
 
 def comparison_to_json(table: RouteComparison) -> str:
-    pairs = list(table.rel_errs)
-    columns = [col.tolist() for col in (*table.values, *table.rel_errs.values())]
-    n = len(table.routes)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "meta": dict(table.meta, lattice=table.lattice, routes=table.routes),
-        "rows": [
-            {"x": x, "values": dict(zip(table.routes, cells[:n])), "relerr": dict(zip(pairs, cells[n:]))}
-            for x, *cells in zip(table.x.tolist(), *columns)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def constants_to_csv(values: dict[str, float]) -> str:
-    lines = ["name,value"]
-    lines += [f"{name},{fmt(val)}" for name, val in values.items()]
-    return "\n".join(lines) + "\n"
-
-
-def constants_to_json(values: dict[str, float], meta: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "meta": meta, "constants": values}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def scaling_to_csv(rows: list[dict]) -> str:
-    names = ["L", "exact", "asym_finite", "deviation_times_L"]
-    lines = [",".join(names)] + [",".join([str(r["L"])] + [fmt(r[k]) for k in names[1:]]) for r in rows]
-    return "\n".join(lines) + "\n"
-
-
-def scaling_to_json(rows: list[dict], meta: dict) -> str:
-    doc = {"schema_version": SCHEMA_VERSION, "meta": meta, "rows": rows}
-    return json.dumps(doc, indent=2) + "\n"
+    """The comparison as one row object per distance, with its values and relerrs by name."""
+    pairs, n = list(table.rel_errs), len(table.routes)
+    _, columns = comparison_columns(table)
+    rows = [
+        {"x": x, "values": dict(zip(table.routes, cells[:n])), "relerr": dict(zip(pairs, cells[n:]))}
+        for x, *cells in zip(*(col.tolist() for col in columns))
+    ]
+    return doc_to_json(dict(table.meta, lattice=table.lattice, routes=table.routes), rows=rows)

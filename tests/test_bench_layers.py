@@ -19,3 +19,14 @@ def test_ed_eigensolver_leaves_no_thread_spinning():
     # 0.1 s of CPU in the sleep after the L = 18 solves
     record = bench_layers.measure(xxchain, "ed.eigensolver", 18)
     assert record["idle_cpu_s"] <= 0.02, record
+
+
+def test_pairs_compare_only_keys_every_run_has():
+    # an absent layer has no times on one side: its keys are left out, not a KeyError
+    def sample(side, i):
+        return {"t": 2.0 if side == "change" else 1.0, **({"u": 1.0} if side == "parent" else {})}
+
+    got = bench_layers.pairs("test", sample, 3, ("t", "u"))
+    assert list(got["metrics"]) == ["t"]
+    assert got["metrics"]["t"]["ratios"] == [2.0, 2.0, 2.0]
+    assert len(got["runs"]["parent"]) == len(got["runs"]["change"]) == 3

@@ -230,6 +230,53 @@ def test_csv_and_json_cells_agree(capsys):
             assert float(cell).hex() == value.hex(), (row["x"], name)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["constants"], ["finite-size", "--L-list", "62,1202,100002"]],
+    ids=["constants", "finite-size"],
+)
+def test_csv_round_trip_is_bit_exact(capsys, argv):
+    """Every CSV cell parses back to the JSON document's value, bit for bit."""
+    code, csv_out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code == 0
+    code, json_out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert "\r" not in csv_out and csv_out.endswith("\n")
+    header, *lines = csv_out.splitlines()
+    doc = json.loads(json_out)
+    rows = doc["rows"] if "rows" in doc else [{"name": k, "value": v} for k, v in doc["constants"].items()]
+    assert header.split(",") == list(rows[0])
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        for cell, value in zip(line.split(","), row.values(), strict=True):
+            if isinstance(value, float):
+                assert float(cell).hex() == value.hex(), (row, cell)
+            else:
+                assert cell == str(value), (row, cell)
+
+
+@pytest.mark.parametrize(
+    "argv, body, meta, row",
+    [
+        (["correlator", "--L", "10", "--x-max", "3", "--routes", "det,asym"], "rows",
+         ["command", "alpha", "c0", "warnings", "lattice", "routes"], ["x", "values", "relerr"]),
+        (["constants"], "constants", ["command", "n_fit", "x_fit_max"], None),
+        (["finite-size", "--L-list", "62"], "rows",
+         ["command", "x_frac", "c0", "alpha", "adjusted"], ["L", "exact", "asym_finite", "deviation_times_L"]),
+    ],
+    ids=["correlator", "constants", "finite-size"],
+)
+def test_json_envelope_keys(capsys, argv, body, meta, row):
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert out.startswith('{\n  "schema_version": 1,\n  "meta": {\n') and out.endswith("}\n")
+    doc = json.loads(out)
+    assert list(doc) == ["schema_version", "meta", body]
+    assert list(doc["meta"]) == ["generated_at", "tool_version", *meta]
+    if row is not None:
+        assert all(list(r) == row for r in doc[body])
+
+
 def test_constants_flag_validation(capsys):
     code, _, _ = run(["constants", "--n-fit", "100"], capsys)
     assert code == 2

@@ -5,10 +5,11 @@ import numpy as np
 
 from xxchain.tables import (
     RouteComparison,
+    columns_to_csv,
+    comparison_columns,
     comparison_from_csv,
-    comparison_to_csv,
     comparison_to_json,
-    constants_to_csv,
+    doc_to_json,
     fmt,
     rel_err,
 )
@@ -62,7 +63,7 @@ def test_rel_err_columns_match_the_scalar_definition():
 
 
 def test_csv_header_and_endings():
-    text = comparison_to_csv(make_table())
+    text = columns_to_csv(*comparison_columns(make_table()))
     lines = text.split("\n")
     assert lines[0] == "x,route:det,route:product,relerr:det-product"
     assert "\r" not in text
@@ -75,7 +76,7 @@ def test_csv_round_trip_is_bit_exact():
     asym = np.array([-0.318, 0.21])
     table = RouteComparison("inf", base.routes + ["asym"], base.x, base.values + [asym])
     assert np.all(table.rel_errs["det-asym"] > 0) and np.all(table.rel_errs["product-asym"] > 0)
-    parsed = comparison_from_csv(comparison_to_csv(table))
+    parsed = comparison_from_csv(columns_to_csv(*comparison_columns(table)))
     assert parsed.routes == table.routes
     assert parsed.x.tolist() == table.x.tolist()
     # exact float equality via 17 digits
@@ -101,8 +102,36 @@ def test_json_schema():
 
 
 def test_constants_csv_shape():
-    text = constants_to_csv({"c0": 0.5214139726738470, "glaisher_a": 1.2824271291006226})
+    text = columns_to_csv(["name", "value"], [["c0", "glaisher_a"], [0.5214139726738470, 1.2824271291006226]])
     lines = text.strip().split("\n")
     assert lines[0] == "name,value"
     assert lines[1].startswith("c0,")
     assert float(lines[1].split(",")[1]) == 0.5214139726738470
+
+
+def test_columns_to_csv_renders_each_column_by_its_type():
+    # ints and strs verbatim (10**17 would print 1e+17 through fmt), floats in 17 digits
+    # (2.0 would print 2.0 through str), from numpy arrays and from lists alike
+    text = columns_to_csv(
+        ["n", "name", "value", "L", "v"],
+        [np.array([1, 10**17]), ["c0", "b_c"], np.array([0.1, -1.0 / 3.0]), [258, 1202], [2.0, math.nan]],
+    )
+    assert text == (
+        "n,name,value,L,v\n"
+        "1,c0,0.10000000000000001,258,2\n"
+        "100000000000000000,b_c,-0.33333333333333331,1202,nan\n"
+    )
+
+
+def test_columns_to_csv_has_lf_endings_only():
+    text = columns_to_csv(["x", "y"], [np.arange(1, 4), np.array([0.5, 5e-324, -math.inf])])
+    assert text.split("\n") == ["x,y", "1,0.5", "2,4.9406564584124654e-324", "3,-inf", ""]
+    assert "\r" not in text
+    assert columns_to_csv(["x"], [np.array([], dtype=int)]) == "x\n"
+
+
+def test_doc_to_json_envelope():
+    text = doc_to_json({"tool_version": "t"}, rows=[1.5], extra={"a": 1})
+    assert list(json.loads(text)) == ["schema_version", "meta", "rows", "extra"]
+    assert text.startswith('{\n  "schema_version": 1,\n  "meta": {\n    "tool_version": "t"\n  },')
+    assert text.endswith("}\n") and "\r" not in text

@@ -11,21 +11,23 @@ example from ``git archive``.  OUT.json holds:
   in-process time (``median_s``) and process CPU of every thread
   (``cpu_median_s``) per call, the CPU the process burns in a sleep after the
   calls (``idle_cpu_s``: a thread pool left spinning), the ``tracemalloc``
-  peak of one call and the max relative error against ``bench/reference.py``,
-  with ``time_ratio``, change over parent.  Each layer runs :func:`side` in
-  one process per side, the sides in turn first.  A layer whose callable
-  raises ``AttributeError`` or ``TypeError`` on a side, such as a private
-  function renamed since, is ``absent`` there, with the message.
-* ``cli``: wall time, CPU time and peak RSS of the inf-sweep, ed-oracle and
-  ring-last-cell ``correlator`` commands, ``constants`` and ``finite-size``
-  run from each ``src``, with ``spawner_rss_mb``, this process's own peak RSS at the spawn:
+  peak of one call (``peak_mb``) and the max relative error against
+  ``bench/reference.py`` (``max_relerr``), each keyed ``<field>@<size>``.
+  Each layer runs :func:`side` in :data:`LAYER_PAIRS` pairs of processes.  A
+  layer whose callable raises ``AttributeError`` or ``TypeError`` on a side,
+  such as a private function renamed since, is ``absent`` there, with the
+  message, and its times are not compared.
+* ``cli``: wall time, CPU time and peak RSS of the inf-sweep, ed-oracle,
+  ring-last-cell and wide-table (10^5 rows) ``correlator`` commands,
+  ``constants`` and ``finite-size`` run from each ``src``, with
+  ``spawner_rss_mb``, this process's own peak RSS at the spawn:
   Linux carries it into the child's ``ru_maxrss``, so it is a floor under
   ``peak_rss_mb``.
 * ``end_to_end`` (only with SEEDs): one ``bench/run.py --trace 0`` pair per
   seed and workload, the ``bench/`` next to PARENT_SRC against this tree's.
 
-CLI and end-to-end runs come in pairs that alternate which side runs first;
-each metric gives both sides' median and quartile spread, and every pair's
+Layer, CLI and end-to-end runs come in pairs that alternate which side runs
+first; each metric gives both sides' median and quartile spread, and every pair's
 change/parent ratio, their median and the change's wins, which a drift of
 the host's speed between pairs does not blur.
 """
@@ -56,6 +58,9 @@ from reference import DPS, Reference, _g0_mp, _log_r_barnes, _log_r_recurrence, 
 ENTRY = "from xxchain.cli import entry; entry()"
 SIDES = ("parent", "change")
 CLI_PAIRS = 8
+LAYER_PAIRS = 3
+# the layer fields compared pair by pair; max_relerr and idle_cpu_s may be 0 on the parent
+LAYER_KEYS = ("median_s", "cpu_median_s", "peak_mb")
 # timed calls per layer and size: at least MIN_RUNS, more while they take under RUN_BUDGET_S
 MIN_RUNS, MAX_RUNS, RUN_BUDGET_S = 3, 51, 0.5
 # sleep after the timed calls; CPU burnt in it is threads left spinning, such as a BLAS pool
@@ -92,7 +97,7 @@ def _ed(stage: int):
     """``prepare`` of stage 0 (basis and orbits), 1 (k = pi Hamiltonian) or 2 (the one
     Lanczos, run in float64 and then in longdouble) of the ED solve.  Its output is checked by running the
     later stages untimed: the ground energy, 2 L G(1), against the reference.  The Hamiltonian is one
-    hop triplet ``(a, b, d)``, or a list of per-bond triplets on trees from before that layout."""
+    hop triplet ``(a, b, d)``."""
 
     def prepare(xx, L):
         def basis():
@@ -104,10 +109,7 @@ def _ed(stage: int):
             return xx.ed._momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
 
         def eigensolver(H, dim):
-            if isinstance(H, list):
-                H64 = [(a, b, d.astype(np.float64)) for a, b, d in H]
-            else:
-                H64 = (H[0], H[1], H[2].astype(np.float64))
+            H64 = (H[0], H[1], H[2].astype(np.float64))
             v = xx.ed._lanczos(H64, xx.ed._start_vector(dim), xx.ed._LANCZOS_STEPS)[1]
             return [float(xx.ed._lanczos(H, v.astype(np.longdouble), xx.ed._POLISH_STEPS)[0])]
 
@@ -267,7 +269,8 @@ def spread(values: list[float]) -> dict:
 
 def pairs(label: str, sample: Callable, count: int, keys) -> dict:
     """``count`` pairs of ``sample(side, i)``, alternating which side runs first, and per metric
-    each side's spread, each pair's change/parent ratio, their median and the change's wins."""
+    each side's spread, each pair's change/parent ratio, their median and the change's wins.
+    A key missing from a run, such as the times of an absent layer, is not compared."""
     print(label, file=sys.stderr)
     runs = {s: [] for s in SIDES}
     for i in range(count):
@@ -275,6 +278,8 @@ def pairs(label: str, sample: Callable, count: int, keys) -> dict:
             runs[s].append(sample(s, i))
     metrics = {}
     for key in keys:
+        if any(key not in r for s in SIDES for r in runs[s]):
+            continue
         p, c = ([r[key] for r in runs[s]] for s in SIDES)
         ratios = [b / a for a, b in zip(p, c)]
         metrics[key] = {"parent": spread(p), "change": spread(c), "ratios": ratios,
@@ -284,14 +289,15 @@ def pairs(label: str, sample: Callable, count: int, keys) -> dict:
 
 
 def cli_commands() -> dict[str, list[str]]:
-    """The inf-sweep and ed-oracle commands, the product column to x = L - 1 on a ring, constants,
-    and finite-size at bench/run.py's seed 1 lengths."""
+    """The inf-sweep and ed-oracle commands, the product column to x = L - 1 on a ring, a 10^5-row
+    table (the CSV writer's cost), constants, and finite-size at bench/run.py's seed 1 lengths."""
     from run import constants_large_n
 
     steps = constants_large_n(SimpleNamespace(prepare_single=lambda x, L: None), random.Random(1), 1.0)
     return {"inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
             "ed-oracle": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
             "ring-last-cell": ["correlator", "--L", "4094", "--x-max", "4093", "--routes", "product"],
+            "wide-table": ["correlator", "--L", "inf", "--x-max", "100000", "--routes", "product,asym"],
             "constants": ["constants"],
             "finite-size": list(steps[-1].argv)}
 
@@ -324,20 +330,20 @@ def main(out: str, parent_src: str, seeds: list[int]) -> int:
                                                ("wall_s", "cpu_s", "peak_rss_mb"))}
            for name, args in cli_commands().items()}
     layers = {}
-    for i, (name, layer) in enumerate(LAYERS.items()):  # one process per side and layer
-        records = {s: run_side(srcs[s], name) for s in (SIDES if i % 2 == 0 else SIDES[::-1])}
-        p, c = records["parent"], records["change"]
-        ratio = [b["median_s"] / a["median_s"] if "median_s" in a and "median_s" in b else None
-                 for a, b in zip(p, c)]
-        layers[name] = {"bound": layer.bound, "parent": p, "change": c, "time_ratio": ratio}
+    for name, layer in LAYERS.items():  # one process per side, layer and pair
+        def sample(s, i):
+            return {f"{k}@{r['size']}": v for r in run_side(srcs[s], name) for k, v in r.items() if k != "size"}
+
+        keys = [f"{k}@{size}" for size in layer.sizes for k in LAYER_KEYS]
+        layers[name] = {"bound": layer.bound, **pairs(name, sample, LAYER_PAIRS, keys)}
     with open("/proc/cpuinfo") as fh:
         cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
     doc = {
         "command": f"PYTHONPATH=src python tools/bench_layers.py {out} PARENT_SRC"
                    + "".join(f" {s}" for s in seeds),
         "what": "per layer and size, both sides' median time and CPU per call, idle CPU after "
-                "the calls, tracemalloc peak and max relerr against bench/reference.py; CLI "
-                "and bench/run.py runs in alternating pairs",
+                "the calls, tracemalloc peak and max relerr against bench/reference.py; layer, "
+                "CLI and bench/run.py runs in alternating pairs",
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "mpmath": mp.__version__, "nproc": os.cpu_count(), "cpu": cpu,
                 "longdouble": f"{np.finfo(np.longdouble).nmant + 1}-bit mantissa"},
