@@ -6,22 +6,21 @@ fermionization is involved, so results from this module are independent of
 all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 :mod:`xxchain.exact`.
 
-On the M-odd rings of the closed formulas the ground state is found in the
-k = pi momentum sector, where it lies for the +1 hop (translation eigenvalue
--1): one state per translation orbit, C(L, L/2)/L of them (2,704 at L = 18
-against 48,620 in the full sector).  That sector's Hamiltonian is kept as
-one hop triplet and solved by one small numpy Lanczos loop, run in two
-precisions: in float64 from a fixed start vector, then for a few steps in
-``np.longdouble`` from the float64 vector.  The longdouble vector is expanded
-to full-sector amplitudes, which are then exactly antisymmetric under
-translation.  Each step takes the Ritz pair of the tridiagonal matrix from
-``eigvalsh`` and an O(m) inverse iteration, on one thread: a dense ``eigh``
-would call ``dgemm`` and leave BLAS threads spinning after the solve.
-M-even rings, admitted with ``allow_even_m``, and the spectral gap are
-solved in the full sector with a scipy sparse matrix and ARPACK (``eigsh``),
-which also stays the oracle of the k = pi route: an independent eigensolver
-on an independent basis.  Only that path imports scipy.  Both eigensolvers
-start from the same integer-hash vector, :func:`_start_vector`.
+The ground state is found in its momentum sector, one state per translation
+orbit: k = pi on the M-odd rings of the closed formulas, where it lies for
+the +1 hop, and k = 0 on the M-even rings admitted with ``allow_even_m``
+(2,704 states at L = 18 against 48,620 in the full sector).  That sector's
+Hamiltonian is kept as one hop triplet and solved by one small numpy Lanczos
+loop, run in two precisions: in float64 from a fixed start vector, then for
+a few steps in ``np.longdouble`` from the float64 vector.  The longdouble
+vector is expanded to full-sector amplitudes, which are then exactly
+antisymmetric (k = pi) or symmetric (k = 0) under translation.  Each step
+takes the Ritz pair of the tridiagonal matrix from ``eigvalsh`` and an O(m)
+inverse iteration, on one thread: a dense ``eigh`` would call ``dgemm`` and
+leave BLAS threads spinning after the solve.  The spectral gap runs the same
+float64 Lanczos on the full-sector hop triplet.  The module needs numpy
+alone; the tests keep ARPACK (``eigsh``) on an independently built sparse
+matrix as its oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +52,9 @@ _POLISH_STEPS = 12
 # 46 steps at L = 6, 10, 14 and 18 and 59 at L = 22; the block of 64 vectors
 # is the solve's traced peak
 _LANCZOS_STEPS = 64
+# step budget of the gap's full-sector float64 Lanczos, which converges in 7, 13,
+# 37, 46, 64, 74 and 86 steps at L = 6..18; its block is 39 of 59 MB at L = 18
+_GAP_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -125,52 +127,19 @@ def spin_sector(L: int) -> SpinSector:
     return SpinSector(L=L, M=M, basis=basis)
 
 
-def _hamiltonian(sector: SpinSector) -> scipy.sparse.csr_matrix:
-    # hop amplitude +1 for each flippable bond, periodic closure included
-    import scipy.sparse  # deferred, like every scipy import: with scipy.linalg it takes ~0.4 s
-
-    L, basis = sector.L, sector.basis
-    rows, cols = [], []
-    for i in range(L):
-        j = (i + 1) % L
-        differ = ((basis >> i) & 1) != ((basis >> j) & 1)
-        flipped = basis[differ] ^ ((1 << i) | (1 << j))
-        rows.append(sector.index(flipped))
-        cols.append(np.nonzero(differ)[0])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(len(rows))
-    dim = sector.dimension
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-
-
 def _start_vector(dim: int) -> np.ndarray:
-    """Fixed start vector of both eigensolvers, for run-to-run reproducibility.
+    """Fixed start vector of every float64 :func:`_lanczos` run, for run-to-run reproducibility.
 
     Entry k is the multiplicative hash (k * 0x9E3779B97F4A7C15 mod 2^64) >> 11,
     scaled to [-1/2, 1/2): the fractional parts of k times the golden ratio,
-    from integer arithmetic alone, with no generator to import.  ``eigsh``
-    starts from it in the full sector and the float64 :func:`_lanczos` run in
-    the k = pi sector.  In the full sector a uniform vector would lie in
-    k = 0, orthogonal to the k = pi ground state, and leave the eigensolver to
-    find it through rounding alone.
+    from integer arithmetic alone, with no generator to import.  The ground
+    state starts from it in its momentum sector and the spectral gap in the
+    full sector.  There a uniform vector would lie in k = 0, orthogonal to the
+    k = pi ground state of an M-odd ring, and leave the eigensolver to find it
+    through rounding alone.
     """
     k = np.arange(dim, dtype=np.uint64)
     return ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) * 2.0**-53 - 0.5
-
-
-@_cached_per_length
-def _lowest_pair(L: int):
-    """Two lowest eigenvalues and the ground-state vector in the full sector, by ARPACK Lanczos."""
-    import scipy.sparse.linalg
-
-    H = _hamiltonian(spin_sector(L, True))
-    w, v = scipy.sparse.linalg.eigsh(H, k=2, which="SA", v0=_start_vector(H.shape[0]))
-    lowest, second = np.argsort(w)
-    psi = np.ascontiguousarray(v[:, lowest])
-    psi /= np.linalg.norm(psi)
-    psi.setflags(write=False)
-    return float(w[lowest]), float(w[second]), psi
 
 
 def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -196,13 +165,13 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> tuple:
-    """H in the orthonormal k = pi states |a> = P_a^(-1/2) sum_r (-1)^r T^r |leader_a>.
+    """H in the orthonormal momentum states |a> = P_a^(-1/2) sum of phase(s) |s> over orbit a.
 
-    A hop that takes leader a to s = T^l(leader_b) adds (-1)^l sqrt(P_a/P_b)
-    to element (b, a), with P = ``np.bincount(orbit)`` from :func:`_orbits`.
-    H is one hop triplet ``(a, b, d)`` of arrays, H[b, a] += d, bond-major
-    (bond 0's hops, then bond 1's, ..., each bond's in ascending ``a``), with
-    longdouble entries for the longdouble Lanczos run.
+    A hop that takes leader a to s in orbit b adds phase(s) sqrt(P_a/P_b) to
+    element (b, a), P = ``np.bincount(orbit)``: k = pi with the phases of
+    :func:`_orbits`, k = 0 with phase 1, the full sector with one orbit per
+    state.  H is one bond-major hop triplet ``(a, b, d)``, H[b, a] += d (bond
+    0's hops, then bond 1's, ..., each in ascending ``a``), with longdouble ``d``.
     """
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
@@ -226,20 +195,20 @@ def _apply(H: tuple, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
-    """Lowest eigenpair ``(theta, y)``, |y| = 1, of the symmetric tridiagonal T, in alpha's dtype.
+def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray, j: int = 0) -> tuple:
+    """The j-th lowest eigenpair ``(theta, y)``, |y| = 1, of symmetric tridiagonal T, in alpha's dtype.
 
     T has diagonal ``alpha`` and off-diagonal ``beta``.  theta starts from
-    ``np.linalg.eigvalsh`` of T rounded to float64, moved down by 4 eps |T| so
-    that the LDL^T pivots of T - theta are positive up to rounding.  Two
-    inverse-iteration sweeps from e_0, each an O(m) solve with those pivots,
-    give y: every eigenvector of an unreduced T has a nonzero first entry,
-    and each sweep shrinks the other eigenvectors' share by about
+    ``np.linalg.eigvalsh`` of T rounded to float64, moved down by 4 eps |T|:
+    for j = 0 the LDL^T pivots of T - theta are then positive up to rounding.
+    Two inverse-iteration sweeps from e_0, each an O(m) solve with those
+    pivots, give y: every eigenvector of an unreduced T has a nonzero first
+    entry, and each sweep shrinks the other eigenvectors' share by about
     eps |T| / gap.  theta is then the Rayleigh quotient y^T T y.
     """
     a, b = alpha.astype(np.float64), beta.astype(np.float64)
     w = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
-    lam = alpha.dtype.type(w[0] - 4 * np.finfo(np.float64).eps * max(abs(w[0]), abs(w[-1])))
+    lam = alpha.dtype.type(w[j] - 4 * np.finfo(np.float64).eps * max(abs(w[0]), abs(w[-1])))
     m, zero = len(alpha), alpha.dtype.type(0)
     pivot, ratio = list(alpha - lam), [zero] * m
     for i, b in enumerate(beta, 1):
@@ -260,20 +229,22 @@ def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     return y @ ty, y
 
 
-def _lanczos(H: tuple, q: np.ndarray, steps: int) -> tuple:
-    """Lowest eigenpair of H by Lanczos from q, in q's dtype: ``(energy, vector, steps, converged)``.
+def _lanczos(H: tuple, q: np.ndarray, steps: int, pairs: int = 1) -> tuple:
+    """Lowest eigenpair of H by Lanczos from q: ``(energy, vector, steps, converged)``.
 
-    The one k = pi Lanczos, run twice by :func:`_momentum_ground_state`: in
+    The module's one eigensolver: :func:`_momentum_ground_state` runs it in
     float64 from :func:`_start_vector`, then in longdouble from the float64
-    vector, on the hop triplet H with ``d`` in the same dtype (:func:`_apply`).
+    vector, and :func:`ed_spectral_gap` with ``pairs`` = 2, for an array of two
+    energies.  H is a hop triplet with ``d`` in q's dtype (:func:`_apply`).
     The Krylov block is allocated once for ``min(len(q), steps)`` vectors and
-    reorthogonalised in full, twice per step.  Each step takes the lowest Ritz
-    pair of the tridiagonal T from :func:`_lowest_ritz_pair`; no dense
-    eigenvector solve, whose divide and conquer calls ``dgemm`` from m = 26 on
-    and leaves BLAS threads spinning.
-    The run has converged when the pair's residual |beta_m y_m| reaches the
-    dtype's eps |theta| or when the Krylov space is exhausted, where the pair
-    is exact; otherwise it stops after ``steps`` steps.  The free-fermion
+    reorthogonalised in full, twice per step.  Each step takes the ``pairs``
+    lowest Ritz pairs of the tridiagonal T in q's dtype from
+    :func:`_lowest_ritz_pair`, with no dense eigenvector solve (its divide and
+    conquer calls ``dgemm`` from m = 26 on and leaves BLAS threads spinning);
+    the energies returned are recomputed from T in longdouble.
+    The run has converged when each pair's residual |beta_m y_m| reaches the
+    dtype's eps |theta| or when the Krylov space is exhausted, where the pairs
+    are exact; otherwise it stops after ``steps`` steps.  The free-fermion
     spectrum is degenerate, so one start vector spans only as many dimensions
     as H has distinct eigenvalues: beta_m falls to rounding after 3 steps at
     L = 6 and 11 at L = 10 (4 and 26 states).
@@ -290,24 +261,30 @@ def _lanczos(H: tuple, q: np.ndarray, steps: int) -> tuple:
         for _ in range(2):
             w -= np.dot(np.dot(Q[:m], w), Q[:m])
         beta[m - 1] = np.linalg.norm(w)
-        theta, y = _lowest_ritz_pair(alpha[:m], beta[: m - 1])
-        converged = m == dim or abs(beta[m - 1] * y[-1]) <= np.finfo(q.dtype).eps * abs(theta)
+        ritz = [_lowest_ritz_pair(alpha[:m], beta[: m - 1], j) for j in range(min(pairs, m))]
+        converged = m == dim or len(ritz) == pairs and all(
+            abs(beta[m - 1] * y[-1]) <= np.finfo(q.dtype).eps * abs(theta) for theta, y in ritz)
         if converged or m == steps:
-            return theta, np.dot(y, Q[:m]), m, converged
+            # float64 Ritz values scatter by a few eps |T|: 4.3e-15 in the gap at L = 18
+            T = alpha[:m].astype(np.longdouble), beta[: m - 1].astype(np.longdouble)
+            theta = [_lowest_ritz_pair(*T, j)[0] for j in range(len(ritz))]
+            return theta[0] if pairs == 1 else np.array(theta), np.dot(ritz[0][1], Q[:m]), m, converged
         Q[m] = w / beta[m - 1]
 
 
 @_cached_per_length
 def _momentum_ground_state(L: int):
-    """Ground state of an M-odd ring from the k = pi sector, expanded to the full sector.
+    """Ground state from the k = pi (M odd) or k = 0 (M even) sector, expanded to the full sector.
 
-    Returns ``(energy, psi, psi_ld)``: psi in float64 and in longdouble,
-    ordered like ``spin_sector(L).basis``, with psi(T s) = -psi(s) exactly.
+    Returns ``(energy, psi, psi_ld)``: psi in float64 and in longdouble, ordered
+    like ``spin_sector(L).basis``, with psi(T s) = -psi(s) or psi(s) exactly.
     """
-    sector = spin_sector(L)
+    sector = spin_sector(L, True)  # L is checked, with the caller's flag
     # with M odd every orbit length is even (L/P divides M), so every orbit
-    # carries one k = pi state
+    # carries one k = pi state; with M even <psi|T|psi> = 1 at L = 8, 12 and 16
     leaders, orbit, phase = _orbits(sector)
+    if sector.M % 2 == 0:
+        phase = np.ones(len(phase))
     a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
     _, v, steps, converged = _lanczos(
         (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
@@ -328,26 +305,33 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector.
 
     Returns ``(energy, amplitudes)`` with the amplitude vector normalized
-    and ordered like ``spin_sector(L).basis``.  For M odd the pair comes
-    from the k = pi sector: Lanczos there in float64, then in longdouble,
-    then expansion to every state of each orbit.  Against the full-sector
-    solve the energy and every G(x) agree to 1e-14 at L <= 18.  M-even
-    rings are solved in the full sector.  Either way the eigensolver is
-    Lanczos from one fixed start vector, at every dimension: the numpy
-    :func:`_lanczos` in the k = pi sector, ARPACK (``eigsh``) in the full one.
+    and ordered like ``spin_sector(L).basis``.  The pair comes from the
+    momentum sector of the ground state, k = pi for M odd and k = 0 for
+    M even: :func:`_lanczos` there in float64 from a fixed start vector,
+    then in longdouble, then expansion to every state of each orbit.
+    Against a full-sector ``eigsh`` the energy and every G(x) agree to 1e-14
+    at L <= 18.
     """
-    L = _check_length(L, allow_even_m)
-    if (L // 2) % 2:
-        energy, psi, _ = _momentum_ground_state(L)
-        return energy, psi
-    energy, _, psi = _lowest_pair(L, allow_even_m)
+    energy, psi, _ = _momentum_ground_state(L, allow_even_m)
     return energy, psi
 
 
 def ed_spectral_gap(L: int, allow_even_m: bool = False) -> float:
-    """Gap between the two lowest sector eigenvalues (simple ground state iff > 0)."""
-    e0, e1, _ = _lowest_pair(L, allow_even_m)
-    return e1 - e0
+    """Gap between the two lowest distinct eigenvalues of the M = L/2 sector.
+
+    One float64 :func:`_lanczos` run on the full-sector hop triplet, until its
+    two lowest Ritz pairs converge: within 6e-16 of the free-fermion gap
+    4 sin(pi/L) at L = 6..18.  A Krylov run from one vector sees each distinct
+    eigenvalue once, so "simple ground state iff gap > 0" is a heuristic.
+    """
+    sector = spin_sector(L, allow_even_m)
+    n = sector.dimension
+    a, b, d = _momentum_hamiltonian(sector, sector.basis, np.arange(n), np.ones(n))
+    (e0, e1), _, steps, converged = _lanczos(
+        (a, b, d.astype(np.float64)), _start_vector(n), _GAP_STEPS, pairs=2)
+    if not converged:
+        raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
+    return float(e1 - e0)
 
 
 def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances) -> np.ndarray:
@@ -378,17 +362,12 @@ def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndar
 def _pair_pass(sector: SpinSector, distances, allow_even_m: bool) -> np.ndarray:
     """G(x) for each x in ``distances``, each independent of the others, summed in longdouble.
 
-    On M-odd rings the k = pi state is exactly antisymmetric under translation,
-    so site 0 alone is read, with the longdouble amplitudes; M-even rings
-    average the full-sector state over all L sites.
+    The ground state is exactly symmetric (k = 0) or antisymmetric (k = pi)
+    under translation, so site 0 alone is read, with the longdouble amplitudes.
     """
-    L = sector.L
-    _, psi = ed_ground_state(L, allow_even_m)  # the solve, under its public name
-    if (L // 2) % 2:
-        psi, sites = _momentum_ground_state(L)[2], range(1)  # cached by the solve
-    else:
-        psi, sites = psi.astype(np.longdouble), range(L)
-    return (sum(_pair_values(sector, psi, i, distances) for i in sites) / len(sites)).astype(np.float64)
+    ed_ground_state(sector.L, allow_even_m)  # the solve, under its public name
+    psi = _momentum_ground_state(sector.L, allow_even_m)[2]  # cached by the solve
+    return _pair_values(sector, psi, 0, distances).astype(np.float64)
 
 
 def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:

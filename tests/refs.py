@@ -3,8 +3,12 @@
 High-precision constants were derived once with an independent
 arbitrary-precision tool and frozen here as double literals; closed forms
 (1/pi, 16/(3 pi^2), ...) are written out directly where a test needs them.
+The ED oracle lives here too: the sector Hamiltonian built bond by bond as a
+scipy sparse matrix, and its ARPACK ground state.  scipy is a test
+dependency only, imported on the oracle's first call.
 """
 
+import functools
 import math
 
 EULER_GAMMA = 0.5772156649015328606
@@ -33,6 +37,51 @@ def rel(a: float, b: float) -> float:
 
 
 def momentum_filling_energy(L: int) -> float:
-    """Independent ground-energy oracle: fill the L/2 lowest of 2 cos(2 pi n / L)."""
-    levels = sorted(2.0 * math.cos(2.0 * math.pi * n / L) for n in range(L))
+    """Independent ground-energy oracle: fill the M = L/2 lowest of 2 cos(2 pi n / L).
+
+    The Jordan-Wigner fermions are periodic for M odd and antiperiodic for
+    M even, where n runs over the half-integers.
+    """
+    shift = 0.5 if L // 2 % 2 == 0 else 0
+    levels = sorted(2.0 * math.cos(2.0 * math.pi * (n + shift) / L) for n in range(L))
     return sum(levels[: L // 2])
+
+
+def sector_hamiltonian(L: int):
+    """The ring Hamiltonian on ``spin_sector(L).basis`` as a scipy CSR matrix, M-even rings included.
+
+    Hop amplitude +1 for each flippable bond, periodic closure included: one
+    bond at a time, with none of ``xxchain.ed``'s orbit and triplet code.
+    """
+    import numpy as np
+    import scipy.sparse  # here, not at the top: importing it takes ~0.3 s
+
+    from xxchain import spin_sector
+
+    sector = spin_sector(L, allow_even_m=True)
+    basis = sector.basis
+    rows, cols = [], []
+    for i in range(L):
+        j = (i + 1) % L
+        differ = ((basis >> i) & 1) != ((basis >> j) & 1)
+        rows.append(sector.index(basis[differ] ^ ((1 << i) | (1 << j))))
+        cols.append(np.nonzero(differ)[0])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    dim = sector.dimension
+    return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+
+
+@functools.cache
+def eigsh_pair(L: int):
+    """``(e0, e1, psi)``: the two lowest sector eigenvalues and the normalized ground state, by ARPACK."""
+    import numpy as np
+    import scipy.sparse.linalg
+
+    from xxchain.ed import _start_vector
+
+    H = sector_hamiltonian(L)
+    w, v = scipy.sparse.linalg.eigsh(H, k=2, which="SA", v0=_start_vector(H.shape[0]))
+    lowest, second = np.argsort(w)
+    psi = v[:, lowest] / np.linalg.norm(v[:, lowest])
+    psi.setflags(write=False)
+    return float(w[lowest]), float(w[second]), psi

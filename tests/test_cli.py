@@ -509,6 +509,15 @@ def test_ed_column_leaves_scipy_unloaded(tmp_path):
                              "--out", str(tmp_path / "table.csv")], ("scipy", "numpy.random"))
 
 
+def test_even_m_rings_and_the_gap_leave_scipy_unloaded():
+    # the full-sector gap, an M-even solve and an M-even sweep run on numpy alone
+    probe = ("import sys; from xxchain import ed; ed.ed_spectral_gap(10); "
+             "ed.ed_ground_state(8, allow_even_m=True); ed.ed_correlator_sweep(12, 11, allow_even_m=True); "
+             "print('done', *sorted({'scipy'} & set(sys.modules)))")
+    done = _fresh(probe)
+    assert done.stdout.split() == ["done"], done.stdout + done.stderr
+
+
 def test_ed_column_is_the_sweep(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("per-x ED was called")

@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from refs import momentum_filling_energy, rel
+from refs import eigsh_pair, momentum_filling_energy, rel, sector_hamiltonian
 from xxchain import ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
 from xxchain import ed
 from xxchain.ed import (
     _LANCZOS_STEPS,
     _apply,
-    _hamiltonian,
     _lanczos,
-    _lowest_pair,
     _momentum_ground_state,
     _momentum_hamiltonian,
     _orbits,
@@ -31,8 +29,8 @@ def _translate(states, L):
 
 def _full_sector_correlators(L):
     """G(1..L-1) from the full-sector oracle state, averaged over every site."""
-    sector = spin_sector(L)
-    psi = _lowest_pair(L)[2]
+    sector = spin_sector(L, allow_even_m=True)
+    psi = eigsh_pair(L)[2]
     return np.mean([_pair_values(sector, psi, i, range(1, L)) for i in range(L)], axis=0)
 
 
@@ -119,7 +117,7 @@ def test_lanczos_converges_in_longdouble():
 @pytest.mark.parametrize("L", [6, 10, 14, 18])
 def test_k_pi_route_matches_full_sector(L):
     energy, psi = ed_ground_state(L)
-    e_full, _, psi_full = _lowest_pair(L)
+    e_full, _, psi_full = eigsh_pair(L)
     assert rel(energy, e_full) <= 1e-14
     assert abs(float(psi @ psi_full)) >= 1 - 1e-13
     G = ed_correlator_sweep(L, L - 1)
@@ -143,7 +141,7 @@ def test_k_pi_state_is_an_eigenvector_in_longdouble():
     # residual of the expanded state is the polished k = pi residual
     L = 18
     _, _, psi = _momentum_ground_state(L)
-    H = _hamiltonian(spin_sector(L)).astype(np.longdouble)
+    H = sector_hamiltonian(L).astype(np.longdouble)
     h_psi = H @ psi
     # np.sum sums pairwise; numpy's longdouble dot sums in sequence, which
     # over 48,620 terms of one size is off by ~6e-16
@@ -166,7 +164,7 @@ def test_ed_sweep_against_mpmath(L):
 
 @pytest.mark.parametrize("L", [14, 18])
 def test_start_vector_overlaps_ground_state(L):
-    psi = _lowest_pair(L)[2]
+    psi = eigsh_pair(L)[2]
     v0 = _start_vector(len(psi))
     assert abs(float(v0 @ psi)) / np.linalg.norm(v0) >= 1e-3
     # the uniform vector lies in k = 0, orthogonal to the k = pi ground state
@@ -181,7 +179,7 @@ def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
         for name, obj in list(vars(module).items()):
             if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
                 monkeypatch.setattr(module, name, refuse)
-    for cache in (spin_sector, _lowest_pair, _momentum_ground_state):
+    for cache in (spin_sector, _momentum_ground_state):
         cache.cache_clear()
     L = 14
     energy, _ = ed_ground_state(L)
@@ -191,18 +189,35 @@ def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
     assert rel(G[2], np.mean(ed_correlator_by_site(L, 3))) <= 1e-14
 
 
-@pytest.mark.parametrize("L", [12, 16])
-def test_even_m_rings_use_the_full_sector(L, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("k = pi route used on an M-even ring")
-
-    monkeypatch.setattr(ed, "_momentum_ground_state", refuse)
+@pytest.mark.parametrize("L", [8, 12, 16])
+def test_even_m_rings_use_k_0(L):
+    sector = spin_sector(L, allow_even_m=True)
     energy, psi = ed_ground_state(L, allow_even_m=True)
-    e_full, _, psi_full = _lowest_pair(L, allow_even_m=True)
-    assert energy == e_full and psi is psi_full
-    sweep = ed_correlator_sweep(L, 3, allow_even_m=True)
-    for x in (1, 2, 3):
-        assert rel(sweep[x - 1], np.mean(ed_correlator_by_site(L, x, allow_even_m=True))) <= 1e-14
+    assert np.array_equal(psi[sector.index(_translate(sector.basis, L))], psi)
+    e_full, _, psi_full = eigsh_pair(L)
+    assert rel(energy, e_full) <= 1e-14
+    assert abs(float(psi @ psi_full)) >= 1 - 1e-13
+    G = ed_correlator_sweep(L, L - 1, allow_even_m=True)
+    assert max(rel(a, b) for a, b in zip(G, _full_sector_correlators(L))) <= 1e-14
+    # the k = 0 solve is 1.9e-16, 2.0e-16 and 7.6e-16 from the mpmath filling
+    # energy at L = 8, 12 and 16, and eigsh 3.3e-15 and 1.5e-14 at 12 and 16;
+    # the float64 momentum_filling_energy is itself 1.1e-15 off at L = 8
+    assert abs(energy - momentum_filling_energy(L)) <= 2e-15
+
+
+def test_even_m_solve_and_gap_are_reproducible():
+    # 30 eigsh solves at L = 8 gave 8 distinct ground energies.  Longdouble
+    # arrays are compared by value: the 6 padding bytes of an x87 long double
+    # may differ between equal arrays, so tobytes() can differ too
+    runs = []
+    for _ in range(30):
+        _momentum_ground_state.cache_clear()
+        energy, psi = ed_ground_state(8, allow_even_m=True)
+        runs.append((energy, ed_spectral_gap(8, allow_even_m=True), psi, _momentum_ground_state(8, True)[2]))
+    energy, gap, psi, psi_ld = runs[0]
+    for run in runs[1:]:
+        assert run[:2] == (energy, gap)
+        assert np.array_equal(run[2], psi) and np.array_equal(run[3], psi_ld)
 
 
 def test_k_pi_solve_reproducible():
@@ -233,8 +248,6 @@ def test_k_pi_solve_calls_no_dense_eigh(monkeypatch):
     [
         (spin_sector, (lambda: spin_sector(10), lambda: spin_sector(10, False),
                        lambda: spin_sector(10, allow_even_m=True))),
-        (_lowest_pair, (lambda: _lowest_pair(10), lambda: _lowest_pair(10, False),
-                        lambda: ed_spectral_gap(10, allow_even_m=True))),
         (_momentum_ground_state, (lambda: ed_ground_state(10), lambda: ed_ground_state(10, False),
                                   lambda: ed_ground_state(10, allow_even_m=True))),
     ],

@@ -138,6 +138,20 @@ def _pair_pass(xx, L):
     return (lambda: xx.ed.ed_correlator_sweep(L, L - 1)), np.atleast_1d
 
 
+def _gap(xx, L):
+    """``prepare`` of the spectral gap at L, solved afresh by every call: the ED caches but
+    the sector's are cleared first, as a tree that caches the gap's solve would hit them."""
+    xx.ed.spin_sector(L)
+    caches = [f for name, f in vars(xx.ed).items() if hasattr(f, "cache_clear") and name != "spin_sector"]
+
+    def run():
+        for cache in caches:
+            cache.cache_clear()
+        return xx.ed.ed_spectral_gap(L, allow_even_m=True)
+
+    return run, np.atleast_1d
+
+
 def _constant(*names):
     return lambda _: [_ref().constants[name] for name in names]
 
@@ -178,6 +192,8 @@ LAYERS = {
     "ed.hamiltonian": Layer((10, 14, 18), _ed(1), _energy_ref, 3e-16),
     "ed.eigensolver": Layer((10, 14, 18), _ed(2), _energy_ref, 3e-16),
     "ed.pair_pass": Layer((10, 14, 18), _pair_pass, lambda L: _sweep_ref(L, L - 1), 3e-16),
+    # the full-sector solve of ed_spectral_gap, against the free-fermion gap
+    "ed.gap": Layer((10, 14, 18), _gap, lambda L: [4 * mp.sin(mp.pi / L)], 5e-15),
     "constants.series": Layer((10, 1000, 100_000), _call(lambda xx, N: xx.log_r_series(N)),
                               lambda N: [_log_r_barnes(N)], 1e-15),
     "constants.integral": Layer((None,), _call(lambda xx, _: xx.lukyanov_integral()),
