@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SizeError, check_int
+from .errors import MAX_DET_SIZE, MAX_RING_LENGTH, SizeError, check_int
 from .greens import INFINITE, LatticeSpec
 
 __all__ = [
@@ -49,15 +49,6 @@ __all__ = [
     "MAX_RING_LENGTH",
 ]
 
-# Largest distance of the det route: a time guard for the O(x^2) Schur sweep
-# and a size guard for the dense determinants of correlator_det and r_det.
-MAX_DET_SIZE = 4096
-# Largest ring length, distance and fit size the CLI accepts (finite-size
-# --L-list, correlator --x-max, constants --n-fit and --x-fit-max); the log
-# R_N tables they build grow linearly in it, in time and memory.  At the
-# guard, finite-size --L-list 9999998 takes 0.26 s and 144 MB max RSS (0.28 s
-# and 146 MB with --x-frac 0.9) on a 2-core Xeon VM, median of 5 runs.
-MAX_RING_LENGTH = 10_000_000
 # pi to extended precision; np.pi would carry its 1.2e-16 error into every factor
 _PI = np.longdouble("3.141592653589793238462643383279502884")
 

@@ -23,7 +23,6 @@ comparison's nested rows (:func:`comparison_to_json`) included.
 from __future__ import annotations
 
 import datetime
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +86,8 @@ def columns_to_csv(header: list[str], columns: list) -> str:
 
 def doc_to_json(meta: dict, **body) -> str:
     """A JSON document: ``schema_version``, the ``meta`` block, then ``body``'s keys in order."""
+    import json  # here, so that a CSV command never loads it
+
     return json.dumps({"schema_version": SCHEMA_VERSION, "meta": meta, **body}, indent=2) + "\n"
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import xxchain
-from xxchain import cli, ed, exact
+from xxchain import amplitude, cli, ed, exact
 from xxchain.cli import _next_admissible, check_exact_agreement, main
 from xxchain.exact import MAX_RING_LENGTH, correlator_sweep
 from xxchain.greens import LatticeSpec
@@ -136,7 +136,7 @@ def test_exact_agreement_messages_by_x_then_pair():
 
 def test_disagreeing_exact_routes_write_the_table_and_exit_1(capsys, monkeypatch):
     sweep = exact.correlator_det_sweep
-    monkeypatch.setattr(cli, "correlator_det_sweep", lambda *args: sweep(*args) * (1 + 1e-6))
+    monkeypatch.setattr(exact, "correlator_det_sweep", lambda *args: sweep(*args) * (1 + 1e-6))
     code, out, err = run(["correlator", "--L", "10", "--x-max", "3", "--routes", "det,product"], capsys)
     assert code == 1
     assert comparison_from_csv(out).x.tolist() == [1, 2, 3]
@@ -148,7 +148,7 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     def fail(*args):
         raise getattr(xxchain, error)("raised inside the sweep")
 
-    monkeypatch.setattr(cli, "correlator_sweep", fail)
+    monkeypatch.setattr(exact, "correlator_sweep", fail)
     code, out, err = run(["correlator", "--L", "10", "--x-max", "3", "--routes", "product"], capsys)
     assert code == 2
     assert err == "error: raised inside the sweep\n"
@@ -186,9 +186,9 @@ def test_unwritable_out_rejected_up_front(capsys, monkeypatch, tmp_path):
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("correlator_sweep", "correlator_det_sweep", "ed_correlator_sweep", "asymptotic_params",
-                 "amplitude_report", "correlator"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((exact, "correlator_sweep"), (exact, "correlator_det_sweep"), (ed, "ed_correlator_sweep"),
+                         (amplitude, "asymptotic_params"), (amplitude, "amplitude_report"), (exact, "correlator")):
+        monkeypatch.setattr(module, name, no_work)
     commands = (["correlator", "--L", "10", "--x-max", "9"], ["constants"], ["finite-size", "--L-list", "258"])
     for target in (tmp_path / "missing" / "t.csv", tmp_path):
         for argv in commands:
@@ -294,7 +294,7 @@ def test_constants_sizes_fenced_up_front(capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("the report was computed")
 
-    monkeypatch.setattr(cli, "amplitude_report", no_work)
+    monkeypatch.setattr(amplitude, "amplitude_report", no_work)
     for flag in ("--n-fit", "--x-fit-max"):
         code, out, err = run(["constants", flag, str(MAX_RING_LENGTH + 1)], capsys)
         assert code == 2
@@ -307,6 +307,8 @@ def test_constants_default_run(capsys):
     assert code == 0
     doc = json.loads(out)
     consts = doc["constants"]
+    # the flags' defaults are amplitude's own
+    assert (doc["meta"]["n_fit"], doc["meta"]["x_fit_max"]) == (amplitude.N_FIT, amplitude.X_FIT_MAX)
     assert f"{consts['amplitude_half']:.6f}" == "0.147088"
     assert f"{consts['glaisher_a']:.6f}" == "1.282427"
     assert consts["pairwise_max_dev"] <= 1e-6
@@ -359,8 +361,8 @@ def test_finite_size_length_fenced_up_front(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("a row was computed")
 
-    monkeypatch.setattr(cli, "correlator", no_work)
-    monkeypatch.setattr(cli, "asymptotic_params", no_work)
+    monkeypatch.setattr(exact, "correlator", no_work)
+    monkeypatch.setattr(amplitude, "asymptotic_params", no_work)
     code, out, err = run(["finite-size", "--L-list", "258,1000000000"], capsys)
     assert code == 2
     assert str(MAX_RING_LENGTH) in err
@@ -377,7 +379,7 @@ def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(cli, "correlator_det_sweep", no_work)
+    monkeypatch.setattr(exact, "correlator_det_sweep", no_work)
     code, out, err = run(["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"], capsys)
     assert code == 2
     assert "4096" in err
@@ -388,8 +390,9 @@ def test_correlator_x_max_fenced_up_front(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("a column was computed")
 
-    for name in ("correlator_sweep", "correlator_det_sweep", "ed_correlator_sweep", "asymptotic_params"):
-        monkeypatch.setattr(cli, name, no_work)
+    for module, name in ((exact, "correlator_sweep"), (exact, "correlator_det_sweep"), (ed, "ed_correlator_sweep"),
+                         (amplitude, "asymptotic_params")):
+        monkeypatch.setattr(module, name, no_work)
     for L in ("inf", str(_next_admissible(MAX_RING_LENGTH + 2))):
         argv = ["correlator", "--L", L, "--x-max", str(MAX_RING_LENGTH + 1), "--routes", "product,asym"]
         code, out, err = run(argv, capsys)
@@ -404,7 +407,6 @@ def _no_det_route(monkeypatch):
 
     for name in ("correlator_det_sweep", "correlator_det", "_wick_kernel"):
         monkeypatch.setattr(exact, name, forbidden)
-    monkeypatch.setattr(cli, "correlator_det_sweep", forbidden)
 
 
 def test_product_last_cell_past_det_guard_needs_no_fence(capsys, monkeypatch):
@@ -472,12 +474,16 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.split() == ["True"], done.stdout + done.stderr
 
 
-def _assert_exits_0_without(argv, modules=("scipy",)):
-    """Run ``main(argv)`` in a fresh interpreter: it must return 0 and leave ``modules`` unimported."""
-    probe = (f"import sys; from xxchain.cli import main; code = main({argv!r}); "
+def _assert_exits_without(argv, modules=("scipy",), code=0):
+    """Run ``main(argv)`` in a fresh interpreter: it must end with ``code``, returned or raised as
+    ``SystemExit`` (as ``--version`` and usage errors do), and leave ``modules`` unimported."""
+    probe = ("import contextlib, io, sys; from xxchain.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    try:\n        code = main({argv!r})\n"
+             "    except SystemExit as exc:\n        code = exc.code\n"
              f"print(code, *sorted(set({modules!r}) & set(sys.modules)))")
     done = _fresh(probe)
-    assert done.stdout.split() == ["0"], done.stdout + done.stderr
+    assert done.stdout.split() == [str(code)], done.stdout + done.stderr
 
 
 @pytest.mark.parametrize("caller", [None, "2"])
@@ -495,18 +501,35 @@ def test_cli_pins_one_blas_thread_unless_the_caller_sets_one(caller):
 
 
 def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
-    _assert_exits_0_without(["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
-                             "--out", str(tmp_path / "table.csv")])
+    _assert_exits_without(["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
+                           "--out", str(tmp_path / "table.csv")])
 
 
 def test_constants_leaves_scipy_unloaded(tmp_path):
-    _assert_exits_0_without(["constants", "--out", str(tmp_path / "constants.csv")])
+    _assert_exits_without(["constants", "--out", str(tmp_path / "constants.csv")])
 
 
 def test_ed_column_leaves_scipy_unloaded(tmp_path):
     # and numpy.random: the start vector of the k = pi Lanczos is an integer hash
-    _assert_exits_0_without(["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product",
-                             "--out", str(tmp_path / "table.csv")], ("scipy", "numpy.random"))
+    _assert_exits_without(["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product",
+                           "--out", str(tmp_path / "table.csv")], ("scipy", "numpy.random"))
+
+
+# every module a command loads only once a handler is past its checks
+_LATE = tuple(f"xxchain.{name}" for name in xxchain._SUBMODULES if name not in ("cli", "errors", "greens"))
+
+
+@pytest.mark.parametrize("argv, modules, code", [
+    (["--version"], ("xxchain.greens", *_LATE, "json"), 0),
+    # --L is LatticeSpec's to check, so greens loads; the det guard's fence comes before any route
+    (["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"], (*_LATE, "json"), 2),
+    (["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product", "--out", os.devnull],
+     ("xxchain.ed", "xxchain.amplitude", "xxchain.special", "xxchain.asymptotics", "json"), 0),
+    (["constants", "--out", os.devnull], ("xxchain.ed", "json"), 0),
+    (["finite-size", "--L-list", "62,1202", "--out", os.devnull], ("xxchain.ed", "json"), 0),
+], ids=["version", "usage-error", "det-product", "constants", "finite-size"])
+def test_each_command_loads_only_the_modules_its_routes_run(argv, modules, code):
+    _assert_exits_without(argv, modules, code)
 
 
 def test_even_m_rings_and_the_gap_leave_scipy_unloaded():
@@ -540,7 +563,6 @@ def test_det_and_product_columns_share_one_det_sweep(capsys, monkeypatch):
         calls.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(cli, "correlator_det_sweep", counted)
     monkeypatch.setattr(exact, "correlator_det_sweep", counted)
     code, out, _ = run(["correlator", "--L", "62", "--x-max", "61", "--routes", "det,product"], capsys)
     assert code == 0

@@ -17,12 +17,14 @@ example from ``git archive``.  OUT.json holds:
   layer whose callable raises ``AttributeError`` or ``TypeError`` on a side,
   such as a private function renamed since, is ``absent`` there, with the
   message, and its times are not compared.
-* ``cli``: wall time, CPU time and peak RSS of the inf-sweep, ed-oracle,
-  ring-last-cell and wide-table (10^5 rows) ``correlator`` commands,
-  ``constants`` and ``finite-size`` run from each ``src``, with
-  ``spawner_rss_mb``, this process's own peak RSS at the spawn:
-  Linux carries it into the child's ``ru_maxrss``, so it is a floor under
-  ``peak_rss_mb``.
+* ``cli``: wall time, CPU time and peak RSS of ``--version``, of the
+  inf-sweep, ring-det-sweep, ed-oracle, ring-last-cell and wide-table (10^5
+  rows) ``correlator`` commands, ``constants`` and ``finite-size`` run from
+  each ``src``, with ``spawner_rss_mb``, this process's own peak RSS at the
+  spawn: Linux carries it into the child's ``ru_maxrss``, so it is a floor
+  under ``peak_rss_mb``.  ``xxchain_modules`` counts, per side, the
+  ``xxchain.*`` modules the command loads, from one untimed
+  ``python -X importtime`` run.
 * ``end_to_end`` (only with SEEDs): one ``bench/run.py --trace 0`` pair per
   seed and workload, the ``bench/`` next to PARENT_SRC against this tree's.
 
@@ -278,6 +280,16 @@ def run_cli(src: Path, args: list[str]) -> dict:
             "peak_rss_mb": usage.ru_maxrss / 1024.0, "spawner_rss_mb": spawner}
 
 
+def xxchain_modules(src: Path, args: list[str]) -> int:
+    """How many ``xxchain.*`` modules one xxchain command run from src imports."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", ENTRY, *args, "--out", os.devnull],
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    # each line is "import time: self | cumulative | <indent><module>"
+    return sum(line.rsplit("|", 1)[-1].strip().startswith("xxchain.")
+               for line in done.stderr.splitlines() if line.startswith("import time:"))
+
+
 def spread(values: list[float]) -> dict:
     q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "iqr": q[2] - q[0]}
@@ -305,12 +317,15 @@ def pairs(label: str, sample: Callable, count: int, keys) -> dict:
 
 
 def cli_commands() -> dict[str, list[str]]:
-    """The inf-sweep and ed-oracle commands, the product column to x = L - 1 on a ring, a 10^5-row
+    """``--version`` (the set-up sample of bench/run.py), the inf-sweep, ring-det-sweep (at its
+    middle length) and ed-oracle commands, the product column to x = L - 1 on a ring, a 10^5-row
     table (the CSV writer's cost), constants, and finite-size at bench/run.py's seed 1 lengths."""
     from run import constants_large_n
 
     steps = constants_large_n(SimpleNamespace(prepare_single=lambda x, L: None), random.Random(1), 1.0)
-    return {"inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
+    return {"version": ["--version"],
+            "inf-sweep": ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
+            "ring-det-sweep": ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product"],
             "ed-oracle": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
             "ring-last-cell": ["correlator", "--L", "4094", "--x-max", "4093", "--routes", "product"],
             "wide-table": ["correlator", "--L", "inf", "--x-max", "100000", "--routes", "product,asym"],
@@ -342,8 +357,8 @@ def end_to_end(parent_root: Path, seeds: list[int]) -> dict:
 
 def main(out: str, parent_src: str, seeds: list[int]) -> int:
     srcs = {"parent": Path(parent_src).resolve(), "change": ROOT / "src"}
-    cli = {name: {"args": args, **pairs(name, lambda s, i: run_cli(srcs[s], args), CLI_PAIRS,
-                                               ("wall_s", "cpu_s", "peak_rss_mb"))}
+    cli = {name: {"args": args, "xxchain_modules": {s: xxchain_modules(srcs[s], args) for s in SIDES},
+                  **pairs(name, lambda s, i: run_cli(srcs[s], args), CLI_PAIRS, ("wall_s", "cpu_s", "peak_rss_mb"))}
            for name, args in cli_commands().items()}
     layers = {}
     for name, layer in LAYERS.items():  # one process per side, layer and pair
