@@ -6,10 +6,11 @@ fermionization is involved, so results from this module are independent of
 all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 :mod:`xxchain.exact`.
 
-The ground state is found in its momentum sector, one state per translation
-orbit: k = pi on the M-odd rings of the closed formulas, where it lies for
-the +1 hop, and k = 0 on the M-even rings admitted with ``allow_even_m``
-(2,704 states at L = 18 against 48,620 in the full sector).  That sector's
+Every even L from 6 to ``MAX_ED_LENGTH`` is admitted, the M-even rings
+outside the closed formulas included.  The ground state is found in its
+momentum sector, one state per translation orbit, which M's parity sets:
+k = pi for M odd, where it lies for the +1 hop, and k = 0 for M even (2,704
+states at L = 18 against 48,620 in the full sector).  That sector's
 Hamiltonian is kept as one hop triplet and solved by one small numpy Lanczos
 loop, run in two precisions: in float64 from a fixed start vector, then for
 a few steps in ``np.longdouble`` from the float64 vector.  The longdouble
@@ -78,41 +79,35 @@ class SpinSector:
         return np.searchsorted(self.basis, states)
 
 
-def _check_length(L: int, allow_even_m: bool) -> int:
+def _check_length(L: int) -> int:
+    """The module's one admission rule: an even integer 6 <= L <= ``MAX_ED_LENGTH``."""
     L = check_int("L", L)
     if L % 2 != 0 or L < 6:
         raise DomainError(f"L must be even and >= 6, got {L}")
     if L > MAX_ED_LENGTH:
         raise SizeError(f"L={L} exceeds the diagonalization guard {MAX_ED_LENGTH}")
-    if not allow_even_m and (L // 2) % 2 != 1:
-        raise DomainError(f"L must satisfy L/2 odd, got L={L}")
     return L
 
 
 def _cached_per_length(build):
-    """Give ``build(L)`` the signature ``(L, allow_even_m=False)`` and one cache entry per L.
+    """One cache entry per L, which :func:`_check_length` checks before the lookup.
 
-    The result depends on L alone; ``allow_even_m`` only decides whether an
-    M-even L is admitted.  It is checked here and kept out of the key, so
-    ``f(L)``, ``f(L, False)`` and ``f(L, allow_even_m=True)`` share an entry.
+    A cache keyed on the raw argument would hand ``18.0`` the entry of L = 18,
+    and ``True`` to the build, unchecked.
     """
     cached = functools.lru_cache(maxsize=None)(build)
 
-    def call(L: int, allow_even_m: bool = False):
-        return cached(_check_length(L, allow_even_m))
+    @functools.wraps(build)
+    def call(L: int):
+        return cached(_check_length(L))
 
-    call.__name__, call.__qualname__, call.__doc__ = build.__name__, build.__qualname__, build.__doc__
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
 
 
 @_cached_per_length
 def spin_sector(L: int) -> SpinSector:
-    """Build (and cache) the M = L/2 sector for ring length L.
-
-    ``allow_even_m=True`` admits M-even rings (L = 8, 12, 16) for
-    exploratory comparisons outside the M-odd regime of the closed formulas.
-    """
+    """Build (and cache) the M = L/2 sector for any even ring length 6 <= L <= ``MAX_ED_LENGTH``."""
     M = L // 2
     # rows[m]: the sorted m-bit patterns on the sites below l.  Appending the
     # patterns that set site l after those that leave it empty keeps the
@@ -147,11 +142,14 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     ``leaders`` holds each orbit's smallest member, ascending; ``orbit``
     numbers the orbit of every basis state, so ``np.bincount(orbit)`` are
-    the orbit lengths.  A state s = T^l(leader) carries the k = pi phase
-    (-1)^l; the orbit length divides L, which is even, so the phase is the
-    same for every l that reaches s.  One vectorised pass per power of T.
+    the orbit lengths.  M's parity sets the ground state's momentum: a state
+    s = T^l(leader) carries the k = pi phase (-1)^l for M odd and the k = 0
+    phase 1 for M even.  The orbit length divides L, which is even, so the
+    phase is the same for every l that reaches s.  One vectorised pass per
+    power of T.
     """
     L, basis = sector.L, sector.basis
+    sign = -1.0 if sector.M % 2 else 1.0
     leader = basis.copy()
     phase = np.ones(len(basis))
     state = basis
@@ -159,7 +157,7 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         state = ((state << 1) | (state >> (L - 1))) & ((1 << L) - 1)
         smaller = state < leader
         leader[smaller] = state[smaller]
-        phase[smaller] = (-1.0) ** r  # T^r(s) = leader, so s = T^(L-r)(leader)
+        phase[smaller] = sign**r  # T^r(s) = leader, so s = T^(L-r)(leader)
     leaders = basis[leader == basis]
     return leaders, np.searchsorted(leaders, leader), phase
 
@@ -279,12 +277,10 @@ def _momentum_ground_state(L: int):
     Returns ``(energy, psi, psi_ld)``: psi in float64 and in longdouble, ordered
     like ``spin_sector(L).basis``, with psi(T s) = -psi(s) or psi(s) exactly.
     """
-    sector = spin_sector(L, True)  # L is checked, with the caller's flag
+    sector = spin_sector(L)
     # with M odd every orbit length is even (L/P divides M), so every orbit
     # carries one k = pi state; with M even <psi|T|psi> = 1 at L = 8, 12 and 16
     leaders, orbit, phase = _orbits(sector)
-    if sector.M % 2 == 0:
-        phase = np.ones(len(phase))
     a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
     _, v, steps, converged = _lanczos(
         (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
@@ -301,7 +297,7 @@ def _momentum_ground_state(L: int):
     return float(energy), psi, psi_ld
 
 
-def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarray]:
+def ed_ground_state(L: int) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector.
 
     Returns ``(energy, amplitudes)`` with the amplitude vector normalized
@@ -312,11 +308,11 @@ def ed_ground_state(L: int, allow_even_m: bool = False) -> tuple[float, np.ndarr
     Against a full-sector ``eigsh`` the energy and every G(x) agree to 1e-14
     at L <= 18.
     """
-    energy, psi, _ = _momentum_ground_state(L, allow_even_m)
+    energy, psi, _ = _momentum_ground_state(L)
     return energy, psi
 
 
-def ed_spectral_gap(L: int, allow_even_m: bool = False) -> float:
+def ed_spectral_gap(L: int) -> float:
     """Gap between the two lowest distinct eigenvalues of the M = L/2 sector.
 
     One float64 :func:`_lanczos` run on the full-sector hop triplet, until its
@@ -324,7 +320,7 @@ def ed_spectral_gap(L: int, allow_even_m: bool = False) -> float:
     4 sin(pi/L) at L = 6..18.  A Krylov run from one vector sees each distinct
     eigenvalue once, so "simple ground state iff gap > 0" is a heuristic.
     """
-    sector = spin_sector(L, allow_even_m)
+    sector = spin_sector(L)
     n = sector.dimension
     a, b, d = _momentum_hamiltonian(sector, sector.basis, np.arange(n), np.ones(n))
     (e0, e1), _, steps, converged = _lanczos(
@@ -351,33 +347,33 @@ def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances
     return out
 
 
-def ed_correlator_by_site(L: int, x: int, allow_even_m: bool = False) -> np.ndarray:
+def ed_correlator_by_site(L: int, x: int) -> np.ndarray:
     """Per-site <sigma^+_{i+x} sigma^-_i>, i = 0..L-1, of the float64 state: their mean is the oracle."""
-    sector = spin_sector(L, allow_even_m)
+    sector = spin_sector(L)
     x = check_int("x", x, 1, sector.L - 1)
-    _, psi = ed_ground_state(L, allow_even_m)
+    _, psi = ed_ground_state(L)
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
 
-def _pair_pass(sector: SpinSector, distances, allow_even_m: bool) -> np.ndarray:
+def _pair_pass(sector: SpinSector, distances) -> np.ndarray:
     """G(x) for each x in ``distances``, each independent of the others, summed in longdouble.
 
     The ground state is exactly symmetric (k = 0) or antisymmetric (k = pi)
     under translation, so site 0 alone is read, with the longdouble amplitudes.
     """
-    ed_ground_state(sector.L, allow_even_m)  # the solve, under its public name
-    psi = _momentum_ground_state(sector.L, allow_even_m)[2]  # cached by the solve
+    ed_ground_state(sector.L)  # the solve, under its public name
+    psi = _momentum_ground_state(sector.L)[2]  # cached by the solve
     return _pair_values(sector, psi, 0, distances).astype(np.float64)
 
 
-def ed_correlator(L: int, x: int, allow_even_m: bool = False) -> float:
+def ed_correlator(L: int, x: int) -> float:
     """G(x) = <sigma^+_{i+x} sigma^-_i>, the cell x of :func:`ed_correlator_sweep` bit for bit."""
-    sector = spin_sector(L, allow_even_m)
+    sector = spin_sector(L)
     x = check_int("x", x, 1, sector.L - 1)
-    return float(_pair_pass(sector, (x,), allow_even_m)[0])
+    return float(_pair_pass(sector, (x,))[0])
 
 
-def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.ndarray:
+def ed_correlator_sweep(L: int, x_max: int) -> np.ndarray:
     """G(x) for x = 1..x_max from one longdouble pair pass.
 
     Max relerr against the mpmath sine product: 5.6e-17, 8.6e-17 and
@@ -385,6 +381,6 @@ def ed_correlator_sweep(L: int, x_max: int, allow_even_m: bool = False) -> np.nd
     double over every site gave 6.9e-16, 4.9e-16 and 1.15e-15.  The float64
     oracle is the mean of :func:`ed_correlator_by_site`.
     """
-    sector = spin_sector(L, allow_even_m)
+    sector = spin_sector(L)
     x_max = check_int("x_max", x_max, 1, sector.L - 1)
-    return _pair_pass(sector, range(1, x_max + 1), allow_even_m)
+    return _pair_pass(sector, range(1, x_max + 1))

@@ -91,12 +91,15 @@ def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     taken at an argument <= pi/2, from :data:`_PI`.  The even entries, the
     diagonal d = 0 included, are zero because the density term cancels
     2 G0(0) = 1.  Rounded to float64, a value is within 3.3e-16 of the scalar
-    :func:`xxchain.greens.g0`.
+    :func:`xxchain.greens.g0`.  L enters as a Python int and a longdouble,
+    never as an int64, so a ring of 2^63 sites or more is admitted too.
     """
     n = np.abs(d)
     if lattice.is_finite:
         L = lattice.length
-        n = np.where(n > L // 2, L - n, n)
+        if int(n.max()) > L // 2:  # L - n casts L to int64, which fails from 2^63 on
+            n = np.where(n > L // 2, L - n, n)
+        L = np.longdouble(L)
     odd = n % 2 == 1
     m = n[odd]
     denom = L * np.sin(_PI * m / L) if lattice.is_finite else _PI * m

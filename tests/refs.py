@@ -58,7 +58,7 @@ def sector_hamiltonian(L: int):
 
     from xxchain import spin_sector
 
-    sector = spin_sector(L, allow_even_m=True)
+    sector = spin_sector(L)
     basis = sector.basis
     rows, cols = [], []
     for i in range(L):

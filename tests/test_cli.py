@@ -42,6 +42,12 @@ def test_correlator_product_vs_ed(capsys):
     assert table.rel_errs["product-ed"].max() <= 1e-10
 
 
+def test_det_route_runs_on_a_ring_past_int64(capsys):
+    code, out, err = run(["correlator", "--L", str(2**63 + 2), "--x-max", "5", "--routes", "det,product"], capsys)
+    assert (code, err) == (0, "")
+    assert comparison_from_csv(out).rel_errs["det-product"].max() <= 1e-15
+
+
 def test_correlator_rejects_bad_length(capsys):
     code, _, err = run(["correlator", "--L", "7", "--x-max", "3"], capsys)
     assert code == 2
@@ -535,7 +541,7 @@ def test_each_command_loads_only_the_modules_its_routes_run(argv, modules, code)
 def test_even_m_rings_and_the_gap_leave_scipy_unloaded():
     # the full-sector gap, an M-even solve and an M-even sweep run on numpy alone
     probe = ("import sys; from xxchain import ed; ed.ed_spectral_gap(10); "
-             "ed.ed_ground_state(8, allow_even_m=True); ed.ed_correlator_sweep(12, 11, allow_even_m=True); "
+             "ed.ed_ground_state(8); ed.ed_correlator_sweep(12, 11); "
              "print('done', *sorted({'scipy'} & set(sys.modules)))")
     done = _fresh(probe)
     assert done.stdout.split() == ["done"], done.stdout + done.stderr

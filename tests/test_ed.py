@@ -35,7 +35,7 @@ def test_sector_shape():
 def test_sector_basis_equals_loop_build(L):
     # the Python loop over 2^L that the combinatorial build replaced
     loop = np.array([s for s in range(1 << L) if bin(s).count("1") == L // 2], dtype=np.int64)
-    basis = spin_sector(L, allow_even_m=L % 4 == 0).basis
+    basis = spin_sector(L).basis
     assert basis.dtype == loop.dtype
     assert np.array_equal(basis, loop)
 
@@ -106,7 +106,7 @@ def test_k_pi_solve_memory():
 @pytest.mark.parametrize("L", [6, 8, 10, 12])
 def test_spectral_gap_against_dense_spectrum(L):
     w = np.linalg.eigvalsh(sector_hamiltonian(L).toarray())
-    assert abs(ed_spectral_gap(L, allow_even_m=True) - (w[1] - w[0])) <= 1e-12
+    assert abs(ed_spectral_gap(L) - (w[1] - w[0])) <= 1e-12
 
 
 @pytest.mark.parametrize("L", range(6, 20, 2))
@@ -115,7 +115,7 @@ def test_spectral_gap_is_the_free_fermion_gap(L):
     # the energies recomputed in longdouble the gap is within 6e-16 of mpmath's
     # under four OpenBLAS kernels; float64 Ritz values were 4.3e-15 off at
     # L = 18, and eigsh up to 3.3e-14 (L = 16)
-    assert abs(ed_spectral_gap(L, allow_even_m=True) - 4 * math.sin(math.pi / L)) <= 1e-15
+    assert abs(ed_spectral_gap(L) - 4 * math.sin(math.pi / L)) <= 1e-15
 
 
 @pytest.mark.parametrize("L", [6, 10, 14])
@@ -129,11 +129,13 @@ def test_ed_vs_determinant_and_product(L):
 
 @pytest.mark.parametrize("L, even_m", [(6, False), (10, False), (14, False), (18, False), (12, True)])
 def test_ed_sweep_equals_per_x(L, even_m):
-    sweep = ed_correlator_sweep(L, L - 1, allow_even_m=even_m)
+    # even_m labels the sector; ED takes it from L alone
+    assert spin_sector(L).M % 2 == (not even_m)
+    sweep = ed_correlator_sweep(L, L - 1)
     assert sweep.shape == (L - 1,)
     for x in range(1, L):
-        assert rel(sweep[x - 1], np.mean(ed_correlator_by_site(L, x, allow_even_m=even_m))) <= 1e-14
-    assert np.allclose(ed_correlator_sweep(L, 2, allow_even_m=even_m), sweep[:2], rtol=1e-14, atol=0)
+        assert rel(sweep[x - 1], np.mean(ed_correlator_by_site(L, x))) <= 1e-14
+    assert np.allclose(ed_correlator_sweep(L, 2), sweep[:2], rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("L, even_m", [(6, False), (10, False), (14, False), (18, False),
@@ -143,17 +145,21 @@ def test_ed_correlator_is_the_sweep_cell(L, even_m, monkeypatch):
     def oracle(*args, **kwargs):
         raise AssertionError("ed_correlator called the float64 oracle")
 
-    sweep = ed_correlator_sweep(L, L - 1, allow_even_m=even_m)
+    assert spin_sector(L).M % 2 == (not even_m)
+    sweep = ed_correlator_sweep(L, L - 1)
     monkeypatch.setattr(ed, "ed_correlator_by_site", oracle)
-    assert [ed_correlator(L, x, allow_even_m=even_m) for x in range(1, L)] == sweep.tolist()
+    assert [ed_correlator(L, x) for x in range(1, L)] == sweep.tolist()
 
 
 def test_ed_sweep_guards():
     for bad in (0, 10, 2.0, True):
         with pytest.raises(DomainError):
             ed_correlator_sweep(10, bad)
-    with pytest.raises(DomainError):
-        ed_correlator_sweep(8, 3)
+    # any even L <= MAX_ED_LENGTH is admitted: M = 4 solves in k = 0
+    assert np.array_equal(ed_correlator_sweep(8, 3), ed_correlator_sweep(8, 7)[:3])
+    for bad in (9, 4):
+        with pytest.raises(DomainError):
+            ed_correlator_sweep(bad, 3)
     with pytest.raises(SizeError):
         ed_correlator_sweep(22, 3)
 
@@ -189,10 +195,15 @@ def test_sign_staggering_from_diagonalization():
 
 
 def test_admissibility():
-    with pytest.raises(DomainError):
-        ed_ground_state(8)
-    with pytest.raises(DomainError):
-        ed_ground_state(7)
+    # an M-even ring solves in k = 0: its ground state is translation-symmetric
+    energy, psi = ed_ground_state(8)
+    sector = spin_sector(8)
+    translated = ((sector.basis << 1) | (sector.basis >> 7)) & 0xFF
+    assert np.array_equal(psi[sector.index(translated)], psi)
+    assert energy == pytest.approx(momentum_filling_energy(8), abs=1e-11)
+    for bad in (7, 9, 4):
+        with pytest.raises(DomainError):
+            ed_ground_state(bad)
     with pytest.raises(SizeError):
         ed_ground_state(20)
     with pytest.raises(DomainError):
@@ -209,11 +220,11 @@ def test_even_m_ring_exploratory_report():
     # Dirichlet kernel at half filling, so no 1/L correction shows up at
     # the level of the sector-resolved ground state.
     for L in (8, 12):
-        energy, _ = ed_ground_state(L, allow_even_m=True)
+        energy, _ = ed_ground_state(L)
         assert math.isfinite(energy)
         devs = []
         for x in range(1, L):
-            e = ed_correlator(L, x, allow_even_m=True)
+            e = ed_correlator(L, x)
             devs.append(abs(e - _modd_stub(x, L)))
         print(f"L={L} (M even): max |ED - M-odd formula| over all x = {max(devs):.3e}")
         assert max(devs) < 0.5
@@ -237,6 +248,6 @@ def _modd_stub(x, L):
 def test_even_m_agreement_holds_at_larger_ring():
     # follow-up to the exploratory report: the machine-level agreement is
     # not a small-L accident
-    gap = max(abs(ed_correlator(16, x, allow_even_m=True) - _modd_stub(x, 16)) for x in (1, 2, 3))
+    gap = max(abs(ed_correlator(16, x) - _modd_stub(x, 16)) for x in (1, 2, 3))
     print(f"L=16 (M even): max |ED - M-odd formula| at x<=3 = {gap:.3e}")
     assert gap < 1e-12

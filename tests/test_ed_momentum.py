@@ -29,7 +29,7 @@ def _translate(states, L):
 
 def _full_sector_correlators(L):
     """G(1..L-1) from the full-sector oracle state, averaged over every site."""
-    sector = spin_sector(L, allow_even_m=True)
+    sector = spin_sector(L)
     psi = eigsh_pair(L)[2]
     return np.mean([_pair_values(sector, psi, i, range(1, L)) for i in range(L)], axis=0)
 
@@ -191,13 +191,13 @@ def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
 
 @pytest.mark.parametrize("L", [8, 12, 16])
 def test_even_m_rings_use_k_0(L):
-    sector = spin_sector(L, allow_even_m=True)
-    energy, psi = ed_ground_state(L, allow_even_m=True)
+    sector = spin_sector(L)
+    energy, psi = ed_ground_state(L)
     assert np.array_equal(psi[sector.index(_translate(sector.basis, L))], psi)
     e_full, _, psi_full = eigsh_pair(L)
     assert rel(energy, e_full) <= 1e-14
     assert abs(float(psi @ psi_full)) >= 1 - 1e-13
-    G = ed_correlator_sweep(L, L - 1, allow_even_m=True)
+    G = ed_correlator_sweep(L, L - 1)
     assert max(rel(a, b) for a, b in zip(G, _full_sector_correlators(L))) <= 1e-14
     # the k = 0 solve is 1.9e-16, 2.0e-16 and 7.6e-16 from the mpmath filling
     # energy at L = 8, 12 and 16, and eigsh 3.3e-15 and 1.5e-14 at 12 and 16;
@@ -212,8 +212,8 @@ def test_even_m_solve_and_gap_are_reproducible():
     runs = []
     for _ in range(30):
         _momentum_ground_state.cache_clear()
-        energy, psi = ed_ground_state(8, allow_even_m=True)
-        runs.append((energy, ed_spectral_gap(8, allow_even_m=True), psi, _momentum_ground_state(8, True)[2]))
+        energy, psi = ed_ground_state(8)
+        runs.append((energy, ed_spectral_gap(8), psi, _momentum_ground_state(8)[2]))
     energy, gap, psi, psi_ld = runs[0]
     for run in runs[1:]:
         assert run[:2] == (energy, gap)
@@ -243,18 +243,11 @@ def test_k_pi_solve_calls_no_dense_eigh(monkeypatch):
     assert abs(ed_ground_state(L)[0] - energy) <= 1e-14
 
 
-@pytest.mark.parametrize(
-    "cache, calls",
-    [
-        (spin_sector, (lambda: spin_sector(10), lambda: spin_sector(10, False),
-                       lambda: spin_sector(10, allow_even_m=True))),
-        (_momentum_ground_state, (lambda: ed_ground_state(10), lambda: ed_ground_state(10, False),
-                                  lambda: ed_ground_state(10, allow_even_m=True))),
-    ],
-)
-def test_cache_key_ignores_how_the_flag_is_spelled(cache, calls):
+@pytest.mark.parametrize("cache, call", [(spin_sector, spin_sector), (_momentum_ground_state, ed_ground_state)])
+def test_numpy_integer_length_hits_the_cache(cache, call):
+    # the key is the checked Python int, so a numpy integer reads L = 10's entry
     cache.cache_clear()
-    for call in calls:
-        call()
+    call(10)
+    call(np.int64(10))
     info = cache.cache_info()
-    assert (info.misses, info.hits) == (1, len(calls) - 1)
+    assert (info.misses, info.hits) == (1, 1)

@@ -356,6 +356,17 @@ def test_det_sweep_guards():
         correlator_det_sweep(10, LatticeSpec.finite(10))
 
 
+def test_det_route_on_a_ring_past_int64():
+    # L = 2^63 + 2 does not fit an int64: the kernel folds only where |d| > L/2 occurs
+    lat = LatticeSpec.finite(2**63 + 2)
+    det = correlator_det_sweep(40, lat)
+    assert np.max(np.abs(det / correlator_sweep(40, lat) - 1)) <= 1e-15
+    for x in (1, 2, 5, 17):
+        assert rel(correlator_det(x, lat), det[x - 1]) <= 1e-15
+    for N in (1, 2, 9):
+        assert rel(r_det(N, lat), r_value(N, lat).value) <= 1e-15
+
+
 @pytest.mark.parametrize("L, xs", [
     (62, [1, 2, 15, 16, 31, 40, 45, 60, 61]),
     (1202, [1, 2, 301, 302, 601, 602, 901, 1200, 1201]),

@@ -149,7 +149,7 @@ def _gap(xx, L):
     def run():
         for cache in caches:
             cache.cache_clear()
-        return xx.ed.ed_spectral_gap(L, allow_even_m=True)
+        return xx.ed.ed_spectral_gap(L)
 
     return run, np.atleast_1d
 
