@@ -279,6 +279,14 @@ def amplitude_report(n_fit: int = N_FIT, x_fit_max: int = X_FIT_MAX) -> Constant
     the even-x window [20, x_fit_max] of the least-squares fit for the
     subleading coefficient.  C0 and C0/(2 sqrt(pi)) derive from the series
     value of ln B via C0 = sqrt(pi) B^2 / sqrt(2).
+
+    The fit runs in np.longdouble: exp on libm's expl, x^(-1/2) as 1/sqrt(x)
+    and x^(-5/2) as x^(-1/2)/x^2 (powl, as accurate to the double that is
+    printed, costs 0.9 ms more at the default window), and the dot products on
+    numpy's own sequential long double loop, which calls no BLAS; the slope
+    is rounded once.  In float64 the exp and powers follow numpy's SIMD
+    dispatch and the dot products OpenBLAS's kernel: ``sub_coeff_fitted``
+    moved by 359 ulp between dispatch levels and by 3 between kernels.
     """
     n_fit = check_int("n_fit", n_fit, 1000)
     if n_fit % 2:
@@ -302,12 +310,11 @@ def amplitude_report(n_fit: int = N_FIT, x_fit_max: int = X_FIT_MAX) -> Constant
     c0 = _c0(ln_b["series"])
     amplitude_half = c0 / (2.0 * math.sqrt(math.pi))
 
-    # least-squares slope of (exact - leading) against x^(-5/2), even x
+    # least-squares slope of (exact - leading) against x^(-5/2), even x, in long double
     xs = np.arange(20, x_fit_max + 1, 2)
-    exact = 0.5 * np.exp(2.0 * table[xs // 2])
-    leading = (c0 / math.sqrt(math.pi)) * xs**-0.5
-    basis = xs**-2.5
-    resid = exact - leading
+    root = 1 / np.sqrt(xs, dtype=np.longdouble)  # x^(-1/2)
+    resid = 0.5 * np.exp(2.0 * table[xs // 2].astype(np.longdouble)) - (c0 / math.sqrt(math.pi)) * root
+    basis = root / xs**2
     sub_coeff = float(np.dot(resid, basis) / np.dot(basis, basis))
 
     return ConstantsReport(

@@ -214,6 +214,8 @@ def cmd_finite_size(args, parser) -> int:
         parser.error(f"--L-list must be comma-separated integers, got {args.L_list!r}")
     if not requested:
         parser.error("--L-list is empty")
+    if min(requested) < 1:
+        parser.error(f"--L-list entries must be >= 1, got {min(requested)}")
     if not 0.0 < args.x_frac < 1.0:
         parser.error(f"--x-frac must lie strictly inside (0, 1), got {args.x_frac}")
 

@@ -334,13 +334,13 @@ def test_every_command_prints_the_constants_c0(capsys):
 
 def test_finite_size_adjusts_lengths(capsys):
     code, out, err = run(
-        ["finite-size", "--L-list", "256,512", "--x-frac", "0.5", "--format", "json"],
+        ["finite-size", "--L-list", "1,5,256,512", "--x-frac", "0.5", "--format", "json"],
         capsys,
     )
     assert code == 0
     doc = json.loads(out)
-    assert [row["L"] for row in doc["rows"]] == [258, 514]
-    assert doc["meta"]["adjusted"] == ["256->258", "512->514"]
+    assert [row["L"] for row in doc["rows"]] == [6, 6, 258, 514]
+    assert doc["meta"]["adjusted"] == ["1->6", "5->6", "256->258", "512->514"]
     assert "adjusted" in err
 
 
@@ -375,10 +375,17 @@ def test_finite_size_length_fenced_up_front(capsys, monkeypatch):
     assert out == ""
 
 
-def test_finite_size_huge_negative_length_adjusts_at_once(capsys):
-    code, out, _ = run(["finite-size", "--L-list", "-1000000000", "--format", "json"], capsys)
-    assert code == 0
-    assert [row["L"] for row in json.loads(out)["rows"]] == [6]
+@pytest.mark.parametrize("lengths, smallest", [("0", 0), ("-5", -5), ("62,0,-3", -3), ("-1000000000", -10**9)])
+def test_finite_size_non_positive_length_fenced_up_front(capsys, monkeypatch, lengths, smallest):
+    def no_work(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(exact, "correlator", no_work)
+    code, out, err = run(["finite-size", "--L-list", lengths], capsys)
+    assert code == 2
+    assert "usage: xxchain finite-size [-h]" in err
+    assert err.splitlines()[-1] == f"xxchain finite-size: error: --L-list entries must be >= 1, got {smallest}"
+    assert out == ""
 
 
 def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):

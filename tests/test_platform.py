@@ -19,7 +19,16 @@ def test_long_double_is_x87_extended():
 
     test_sine_grid_within_two_ulp, test_far_factors_against_mpmath and
     test_series_step_against_mpmath (test_exact.py) count their errors in units
-    of 2^-63, the x87 epsilon.  This is a stated precondition, not a skip: on a
+    of 2^-63, the x87 epsilon.
+
+    The goldens of test_golden.py (test_printed_bytes_equal_the_golden,
+    test_a_one_ulp_move_shows and test_golden_bytes_hold_under_a_capped_dispatch)
+    pin bytes that the long double makes independent of the CPU: the product
+    column's exp and the constants' subleading fit run on libm's expl and sqrtl.
+    Where np.longdouble is a double, np.exp on it is numpy's float64 SIMD loop
+    again, and those bytes move with the dispatch.
+
+    This is a stated precondition, not a skip: on a
     platform without it those tests fail, and so does this one, saying why.
     """
     assert np.finfo(np.longdouble).nmant >= 63, np.finfo(np.longdouble)

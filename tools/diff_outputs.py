@@ -1,110 +1,92 @@
-"""The CLI's printed bytes, this tree against another, cell by cell; and the goldens of ``tests/golden/``.
+"""The CLI's printed bytes against the goldens of ``tests/golden/``, cell by cell.
 
 Usage::
 
-    python tools/diff_outputs.py PARENT_SRC                     # what moved from PARENT_SRC to this tree
+    PYTHONPATH=src python tools/diff_outputs.py                 # what moved from the goldens to this tree
     PYTHONPATH=src python tools/diff_outputs.py --write-golden  # rewrite tests/golden/ from this tree
 
-PARENT_SRC is the ``src`` directory of the commit to compare against, for
-example from ``git archive``.  Each command of :data:`GOLDEN` and
-:data:`EXTRA` runs once per tree, in a fresh interpreter with that tree's
-``src`` first on ``PYTHONPATH``.  For each CSV column the tool prints the
-cells that moved, labelled by the row's first cell, with the distance in
-float64 ulps; a changed header, row count, stderr or exit code is printed
-too.  The exit code is 0 when nothing moved and 1 otherwise.
-
-``--write-golden`` writes each :data:`GOLDEN` command's CSV, less its product
-columns (:func:`golden_csv`), and ``platform.json``, the long double mantissa,
-numpy's version and its SIMD dispatch targets (:func:`platform`).
-``tests/test_golden.py`` compares the printed bytes against those files.
+Each :data:`GOLDEN` command runs in this process and must exit 0.  Its golden
+is its whole stdout, ``tests/golden/<name>``, and its stderr, in
+``stderr.json``.  A commit's goldens are its own bytes, so the listing, run
+before ``--write-golden``, is what a change moved from its parent: per CSV
+column the cells that moved, by the row's first cell, in float64 ulps, and any
+changed shape or stderr.  It exits 1 if anything moved.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+from xxchain.cli import main as xxchain_main
+
+_umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2 renamed core to _core
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_DIR = ROOT / "tests" / "golden"
-# printed bytes that no numpy SIMD dispatch level moves, measured at AVX-512,
-# AVX2 and the X86_V2 baseline
+STDERR = GOLDEN_DIR / "stderr.json"
 GOLDEN = {
+    "correlator_Linf_product_asym.csv": ["correlator", "--L", "inf", "--x-max", "500", "--routes", "product,asym"],
+    "correlator_L1202_det_product.csv": ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product"],
     "correlator_L18_ed_det_product.csv": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
-    "correlator_L1202_det.csv": ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det"],
+    "correlator_L10_all_routes.csv": ["correlator", "--L", "10", "--x-max", "9", "--routes", "ed,det,product,asym"],
+    "constants.csv": ["constants"],
     "finite_size.csv": ["finite-size", "--L-list", "62,1202,100002,622790"],
 }
-# compared between trees only: their product and fit cells move by an ulp with the dispatch
-EXTRA = [
-    ["correlator", "--L", "inf", "--x-max", "2000", "--routes", "product,asym"],
-    ["correlator", "--L", "10", "--x-max", "9", "--routes", "ed,det,product,asym"],
-    ["constants"],
-]
-_MAIN = "import sys; from xxchain.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _openblas_core() -> str | None:
+    """The kernel numpy's OpenBLAS runs on, read back from the library; None where none is found."""
+    lib = ctypes.CDLL(_umath.__file__)  # its symbols resolve through the BLAS it links
+    for get in (getattr(lib, name, None) for name in ("scipy_openblas_get_corename64_", "openblas_get_corename")):
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
 
 
 def platform() -> dict:
-    """What the golden bytes may depend on: the long double, numpy and numpy's enabled dispatch targets."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy < 2
-        from numpy.core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+    """What the golden bytes may depend on: the long double, numpy, its enabled dispatch targets and OpenBLAS."""
     return {
         "longdouble_mantissa_bits": int(np.finfo(np.longdouble).nmant),
         "numpy": np.__version__,
-        "simd_baseline": list(__cpu_baseline__),
-        "simd_dispatch": [f for f in __cpu_dispatch__ if __cpu_features__.get(f)],
+        "simd_baseline": list(_umath.__cpu_baseline__),
+        "simd_dispatch": [f for f in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(f)],
+        "openblas_core": _openblas_core(),
     }
 
 
-def golden_csv(text: str) -> str:
-    """``text`` without the columns that name the product route, whose exp moves with the dispatch."""
-    rows = list(csv.reader(io.StringIO(text)))
-    keep = [j for j, name in enumerate(rows[0]) if "product" not in name]
-    return "".join(",".join(row[j] for j in keep) + "\n" for row in rows)
-
-
-def printed(argv: list[str]) -> str:
-    """What ``xxchain argv`` prints on stdout, run in this process; it must exit 0."""
-    from xxchain.cli import main
-
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+def printed(argv: list[str]) -> tuple[str, str]:
+    """What ``xxchain argv`` prints on stdout and stderr, run in this process; it must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = xxchain_main(argv)
     if code != 0:
-        raise RuntimeError(f"xxchain {' '.join(argv)} exited {code}")
-    return out.getvalue()
+        raise RuntimeError(f"xxchain {' '.join(argv)} exited {code}: {err.getvalue()}")
+    return out.getvalue(), err.getvalue()
 
 
-def mismatched_golden() -> list[str]:
-    """The :data:`GOLDEN` files whose command prints other bytes here."""
-    return [name for name, argv in GOLDEN.items() if golden_csv(printed(argv)) != (GOLDEN_DIR / name).read_text()]
-
-
-def _run(src: Path, argv: list[str]) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run([sys.executable, "-c", _MAIN, *argv], env=env, capture_output=True, text=True)
-
-
-def _ulps(a: float, b: float) -> int:
-    """b - a in float64 steps, across zero too."""
-    ia, ib = (int(np.float64(v).view(np.int64)) for v in (a, b))
+def _step(u: str, v: str) -> str:
+    """v - u in float64 steps, across zero too, for two printed cells."""
+    try:
+        ia, ib = (int(np.float64(cell).view(np.int64)) for cell in (u, v))
+    except ValueError:
+        return "not a number"
     ia, ib = (i if i >= 0 else -(i & (2**63 - 1)) for i in (ia, ib))
-    return ib - ia
+    return f"{ib - ia:+d} ulp"
 
 
 def _cell_moves(old: str, new: str) -> list[str]:
-    """One line per moved cell, grouped by column, for two CSV texts of the same header."""
-    a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
-    if a == b:
+    """One line per moved cell, grouped by column, for two CSV texts; empty when the bytes are equal."""
+    if old == new:
         return []
+    a, b = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
     if a[:1] != b[:1] or len(a) != len(b):
         return [f"table shape: header {a[:1]} -> {b[:1]}, {len(a)} -> {len(b)} lines"]
     lines = []
@@ -112,34 +94,23 @@ def _cell_moves(old: str, new: str) -> list[str]:
         moved = [(ra[0], ra[j], rb[j]) for ra, rb in zip(a[1:], b[1:]) if ra[j] != rb[j]]
         if moved:
             lines.append(f"{name}: {len(moved)} of {len(a) - 1} cells moved")
-        for label, u, v in moved:
-            try:
-                step = f"{_ulps(float(u), float(v)):+d} ulp"
-            except ValueError:
-                step = "not a number"
-            lines.append(f"  {a[0][0]}={label}: {u} -> {v} ({step})")
-    return lines
+        lines += [f"  {a[0][0]}={label}: {u} -> {v} ({_step(u, v)})" for label, u, v in moved]
+    return lines or ["bytes moved outside the cells"]
 
 
-def diff(parent_src: Path) -> int:
-    here, moved = ROOT / "src", False
-    for argv in [*GOLDEN.values(), *EXTRA]:
-        old, new = _run(parent_src, argv), _run(here, argv)
-        lines = _cell_moves(old.stdout, new.stdout)
-        if old.returncode != new.returncode:
-            lines.append(f"exit code: {old.returncode} -> {new.returncode}")
-        if old.stderr != new.stderr:
-            lines.append(f"stderr: {old.stderr!r} -> {new.stderr!r}")
-        print(f"xxchain {' '.join(argv)}: " + ("moved" if lines else "identical"))
-        print("".join(f"  {line}\n" for line in lines), end="")
-        moved = moved or bool(lines)
-    return int(moved)
+def moves(name: str) -> list[str]:
+    """What moved from the golden ``name`` to the bytes its command prints here; empty when nothing did."""
+    (out, err), old_err = printed(GOLDEN[name]), json.loads(STDERR.read_text())[name]
+    lines = _cell_moves((GOLDEN_DIR / name).read_text(), out)
+    return lines if err == old_err else [*lines, f"stderr: {old_err!r} -> {err!r}"]
 
 
 def write_golden() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    stderr = {}
     for name, argv in GOLDEN.items():
-        (GOLDEN_DIR / name).write_text(golden_csv(printed(argv)))
+        out, stderr[name] = printed(argv)
+        (GOLDEN_DIR / name).write_text(out)
+    STDERR.write_text(json.dumps(stderr, indent=2) + "\n")
     (GOLDEN_DIR / "platform.json").write_text(json.dumps(platform(), indent=2) + "\n")
 
 
@@ -147,10 +118,14 @@ def main(argv: list[str]) -> int:
     if argv == ["--write-golden"]:
         write_golden()
         return 0
-    if len(argv) != 1 or argv[0].startswith("-"):
+    if argv:
         print(__doc__, file=sys.stderr)
         return 2
-    return diff(Path(argv[0]).resolve())
+    moved = [moves(name) for name in GOLDEN]
+    for argv, lines in zip(GOLDEN.values(), moved):
+        print(f"xxchain {' '.join(argv)}: " + ("moved" if lines else "identical"))
+        print("".join(f"  {line}\n" for line in lines), end="")
+    return int(any(moved))
 
 
 if __name__ == "__main__":
