@@ -7,21 +7,20 @@ all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 :mod:`xxchain.exact`.
 
 Every even L from 6 to ``MAX_ED_LENGTH`` is admitted, the M-even rings
-outside the closed formulas included.  The ground state is found in its
-momentum sector, one state per translation orbit, which M's parity sets:
-k = pi for M odd, where it lies for the +1 hop, and k = 0 for M even (2,704
-states at L = 18 against 48,620 in the full sector).  That sector's
-Hamiltonian is kept as one hop triplet and solved by one small numpy Lanczos
-loop, run in two precisions: in float64 from a fixed start vector, then for
-a few steps in ``np.longdouble`` from the float64 vector.  The longdouble
-vector is expanded to full-sector amplitudes, which are then exactly
+outside the closed formulas included.  H commutes with the translation T;
+its real momenta k = 0 and k = pi give sectors of one state per translation
+orbit (2,704 at L = 18 against 48,620 states).  The ground state lies at
+k = pi for M odd, with the +1 hop, and at k = 0 for M even; the spectral gap
+is the other sector's lowest energy less the ground energy.  Each sector's
+H is one hop triplet, solved by one small numpy Lanczos loop in float64 from
+a fixed start vector, then for a few steps in ``np.longdouble``.  The ground
+state's longdouble vector is expanded to full-sector amplitudes, exactly
 antisymmetric (k = pi) or symmetric (k = 0) under translation.  Each step
-takes the Ritz pair of the tridiagonal matrix from ``eigvalsh`` and an O(m)
-inverse iteration, on one thread: a dense ``eigh`` would call ``dgemm`` and
-leave BLAS threads spinning after the solve.  The spectral gap runs the same
-float64 Lanczos on the full-sector hop triplet.  The module needs numpy
-alone; the tests keep ARPACK (``eigsh``) on an independently built sparse
-matrix as its oracle.
+takes the lowest Ritz pair of the tridiagonal matrix from ``eigvalsh`` and
+an O(m) inverse iteration, on one thread: a dense ``eigh`` would call
+``dgemm`` and leave BLAS threads spinning.  The module needs numpy alone;
+the tests keep ARPACK (``eigsh``) on an independently built sparse matrix
+as its oracle.
 """
 
 from __future__ import annotations
@@ -49,13 +48,10 @@ MAX_ED_LENGTH = 18
 # steps at L = 6, 10 and 14 and runs all 12 at L = 18, taking the residual
 # |H c - E c| from 3.3e-15 to 6.7e-18 (16 steps reach the 5.7e-18 floor)
 _POLISH_STEPS = 12
-# step budget of the float64 k = pi Lanczos, which converges in 3, 11, 34 and
-# 46 steps at L = 6, 10, 14 and 18 and 59 at L = 22; the block of 64 vectors
-# is the solve's traced peak
+# step budget of the float64 Lanczos, which converges in 3, 11, 34 and 46
+# steps at L = 6, 10, 14 and 18 in k = pi (59 at L = 22) and in 3, 11, 37 and
+# 52 in k = 0 (66 at L = 22); its block of 64 vectors is the solve's traced peak
 _LANCZOS_STEPS = 64
-# step budget of the gap's full-sector float64 Lanczos, which converges in 7, 13,
-# 37, 46, 64, 74 and 86 steps at L = 6..18; its block is 39 of 59 MB at L = 18
-_GAP_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -127,29 +123,28 @@ def _start_vector(dim: int) -> np.ndarray:
 
     Entry k is the multiplicative hash (k * 0x9E3779B97F4A7C15 mod 2^64) >> 11,
     scaled to [-1/2, 1/2): the fractional parts of k times the golden ratio,
-    from integer arithmetic alone, with no generator to import.  The ground
-    state starts from it in its momentum sector and the spectral gap in the
-    full sector.  There a uniform vector would lie in k = 0, orthogonal to the
-    k = pi ground state of an M-odd ring, and leave the eigensolver to find it
-    through rounding alone.
+    from integer arithmetic alone, with no generator to import.  Both
+    momentum sectors start from it, and so does the tests' full-sector
+    ``eigsh`` oracle: there a uniform vector would lie in k = 0, orthogonal to
+    the k = pi ground state of an M-odd ring, and leave the eigensolver to
+    find it through rounding alone.
     """
     k = np.arange(dim, dtype=np.uint64)
     return ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
 def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Translation orbits of the basis: ``(leaders, orbit, phase)``.
+    """Translation orbits of the basis and their k = pi phase: ``(leaders, orbit, phase)``.
 
     ``leaders`` holds each orbit's smallest member, ascending; ``orbit``
     numbers the orbit of every basis state, so ``np.bincount(orbit)`` are
-    the orbit lengths.  M's parity sets the ground state's momentum: a state
-    s = T^l(leader) carries the k = pi phase (-1)^l for M odd and the k = 0
-    phase 1 for M even.  The orbit length divides L, which is even, so the
-    phase is the same for every l that reaches s.  One vectorised pass per
-    power of T.
+    the orbit lengths P.  A state s = T^l(leader) carries the k = pi phase
+    (-1)^l; the k = 0 phase is 1.  The k = pi phase is the same for every l
+    that reaches s, because P is even at either parity of M: a state of
+    period P holds M P / L = P/2 up spins per period.  One vectorised pass
+    per power of T.
     """
     L, basis = sector.L, sector.basis
-    sign = -1.0 if sector.M % 2 else 1.0
     leader = basis.copy()
     phase = np.ones(len(basis))
     state = basis
@@ -157,7 +152,7 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         state = ((state << 1) | (state >> (L - 1))) & ((1 << L) - 1)
         smaller = state < leader
         leader[smaller] = state[smaller]
-        phase[smaller] = sign**r  # T^r(s) = leader, so s = T^(L-r)(leader)
+        phase[smaller] = (-1.0) ** r  # T^r(s) = leader, so s = T^(L-r)(leader)
     leaders = basis[leader == basis]
     return leaders, np.searchsorted(leaders, leader), phase
 
@@ -166,10 +161,10 @@ def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> tuple:
     """H in the orthonormal momentum states |a> = P_a^(-1/2) sum of phase(s) |s> over orbit a.
 
     A hop that takes leader a to s in orbit b adds phase(s) sqrt(P_a/P_b) to
-    element (b, a), P = ``np.bincount(orbit)``: k = pi with the phases of
-    :func:`_orbits`, k = 0 with phase 1, the full sector with one orbit per
-    state.  H is one bond-major hop triplet ``(a, b, d)``, H[b, a] += d (bond
-    0's hops, then bond 1's, ..., each in ascending ``a``), with longdouble ``d``.
+    element (b, a), P = ``np.bincount(orbit)``: k = pi with the phase of
+    :func:`_orbits`, k = 0 with phase 1.  H is one bond-major hop triplet
+    ``(a, b, d)``, H[b, a] += d (bond 0's hops, then bond 1's, ..., each in
+    ascending ``a``), with longdouble ``d``.
     """
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
@@ -193,12 +188,12 @@ def _apply(H: tuple, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray, j: int = 0) -> tuple:
-    """The j-th lowest eigenpair ``(theta, y)``, |y| = 1, of symmetric tridiagonal T, in alpha's dtype.
+def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """The lowest eigenpair ``(theta, y)``, |y| = 1, of symmetric tridiagonal T, in alpha's dtype.
 
     T has diagonal ``alpha`` and off-diagonal ``beta``.  theta starts from
-    ``np.linalg.eigvalsh`` of T rounded to float64, moved down by 4 eps |T|:
-    for j = 0 the LDL^T pivots of T - theta are then positive up to rounding.
+    the lowest ``np.linalg.eigvalsh`` of T rounded to float64, moved down by
+    4 eps |T|: the LDL^T pivots of T - theta are then positive up to rounding.
     Two inverse-iteration sweeps from e_0, each an O(m) solve with those
     pivots, give y: every eigenvector of an unreduced T has a nonzero first
     entry, and each sweep shrinks the other eigenvectors' share by about
@@ -206,7 +201,7 @@ def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray, j: int = 0) -> tuple:
     """
     a, b = alpha.astype(np.float64), beta.astype(np.float64)
     w = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
-    lam = alpha.dtype.type(w[j] - 4 * np.finfo(np.float64).eps * max(abs(w[0]), abs(w[-1])))
+    lam = alpha.dtype.type(w[0] - 4 * np.finfo(np.float64).eps * max(abs(w[0]), abs(w[-1])))
     m, zero = len(alpha), alpha.dtype.type(0)
     pivot, ratio = list(alpha - lam), [zero] * m
     for i, b in enumerate(beta, 1):
@@ -227,25 +222,21 @@ def _lowest_ritz_pair(alpha: np.ndarray, beta: np.ndarray, j: int = 0) -> tuple:
     return y @ ty, y
 
 
-def _lanczos(H: tuple, q: np.ndarray, steps: int, pairs: int = 1) -> tuple:
-    """Lowest eigenpair of H by Lanczos from q: ``(energy, vector, steps, converged)``.
+def _lanczos(H: tuple, q: np.ndarray, steps: int) -> tuple:
+    """Lowest eigenpair of H by Lanczos from q, in q's dtype: ``(energy, vector, steps, converged)``.
 
-    The module's one eigensolver: :func:`_momentum_ground_state` runs it in
-    float64 from :func:`_start_vector`, then in longdouble from the float64
-    vector, and :func:`ed_spectral_gap` with ``pairs`` = 2, for an array of two
-    energies.  H is a hop triplet with ``d`` in q's dtype (:func:`_apply`).
-    The Krylov block is allocated once for ``min(len(q), steps)`` vectors and
-    reorthogonalised in full, twice per step.  Each step takes the ``pairs``
-    lowest Ritz pairs of the tridiagonal T in q's dtype from
-    :func:`_lowest_ritz_pair`, with no dense eigenvector solve (its divide and
-    conquer calls ``dgemm`` from m = 26 on and leaves BLAS threads spinning);
-    the energies returned are recomputed from T in longdouble.
-    The run has converged when each pair's residual |beta_m y_m| reaches the
-    dtype's eps |theta| or when the Krylov space is exhausted, where the pairs
-    are exact; otherwise it stops after ``steps`` steps.  The free-fermion
-    spectrum is degenerate, so one start vector spans only as many dimensions
-    as H has distinct eigenvalues: beta_m falls to rounding after 3 steps at
-    L = 6 and 11 at L = 10 (4 and 26 states).
+    The module's one eigensolver, run twice by :func:`_lowest_level`.  H is a
+    hop triplet with ``d`` in q's dtype (:func:`_apply`).  The Krylov block is
+    allocated once for ``min(len(q), steps)`` vectors and reorthogonalised in
+    full, twice per step.  Each step takes the lowest Ritz pair of the
+    tridiagonal T from :func:`_lowest_ritz_pair`, with no dense eigenvector
+    solve (its divide and conquer calls ``dgemm`` from m = 26 on and leaves
+    BLAS threads spinning).  The run has converged when the pair's residual
+    |beta_m y_m| reaches the dtype's eps |theta| or when the Krylov space is
+    exhausted, where the pair is exact; otherwise it stops after ``steps``.
+    The free-fermion spectrum is degenerate, so one start vector spans only
+    as many dimensions as H has distinct eigenvalues: beta_m falls to
+    rounding after 3 steps at L = 6 and 11 at L = 10 in k = pi (4 and 26 states).
     """
     dim = len(q)
     steps = min(dim, steps)
@@ -259,15 +250,26 @@ def _lanczos(H: tuple, q: np.ndarray, steps: int, pairs: int = 1) -> tuple:
         for _ in range(2):
             w -= np.dot(np.dot(Q[:m], w), Q[:m])
         beta[m - 1] = np.linalg.norm(w)
-        ritz = [_lowest_ritz_pair(alpha[:m], beta[: m - 1], j) for j in range(min(pairs, m))]
-        converged = m == dim or len(ritz) == pairs and all(
-            abs(beta[m - 1] * y[-1]) <= np.finfo(q.dtype).eps * abs(theta) for theta, y in ritz)
+        theta, y = _lowest_ritz_pair(alpha[:m], beta[: m - 1])
+        converged = m == dim or abs(beta[m - 1] * y[-1]) <= np.finfo(q.dtype).eps * abs(theta)
         if converged or m == steps:
-            # float64 Ritz values scatter by a few eps |T|: 4.3e-15 in the gap at L = 18
-            T = alpha[:m].astype(np.longdouble), beta[: m - 1].astype(np.longdouble)
-            theta = [_lowest_ritz_pair(*T, j)[0] for j in range(len(ritz))]
-            return theta[0] if pairs == 1 else np.array(theta), np.dot(ritz[0][1], Q[:m]), m, converged
+            return theta, np.dot(y, Q[:m]), m, converged
         Q[m] = w / beta[m - 1]
+
+
+def _lowest_level(sector: SpinSector, leaders, orbit, phase) -> tuple:
+    """Lowest ``(energy, c)`` of the momentum sector ``phase``, in longdouble, c over ``leaders``.
+
+    :func:`_lanczos` in float64 from :func:`_start_vector`, then in longdouble
+    from the float64 vector; a spent float64 budget raises ``ArithmeticError``.
+    """
+    a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    _, v, steps, converged = _lanczos(
+        (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
+    if not converged:
+        raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
+    energy, c, _, _ = _lanczos((a, b, d), v.astype(np.longdouble), _POLISH_STEPS)
+    return energy, c
 
 
 @_cached_per_length
@@ -278,15 +280,10 @@ def _momentum_ground_state(L: int):
     like ``spin_sector(L).basis``, with psi(T s) = -psi(s) or psi(s) exactly.
     """
     sector = spin_sector(L)
-    # with M odd every orbit length is even (L/P divides M), so every orbit
-    # carries one k = pi state; with M even <psi|T|psi> = 1 at L = 8, 12 and 16
     leaders, orbit, phase = _orbits(sector)
-    a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
-    _, v, steps, converged = _lanczos(
-        (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
-    if not converged:
-        raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
-    energy, c, _, _ = _lanczos((a, b, d), v.astype(np.longdouble), _POLISH_STEPS)
+    if sector.M % 2 == 0:  # k = 0: <psi|T|psi> = 1 at L = 8, 12 and 16
+        phase = np.ones(len(phase))
+    energy, c = _lowest_level(sector, leaders, orbit, phase)
     c /= np.sqrt(c @ c)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
     psi_ld = c[orbit]
@@ -301,32 +298,33 @@ def ed_ground_state(L: int) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector.
 
     Returns ``(energy, amplitudes)`` with the amplitude vector normalized
-    and ordered like ``spin_sector(L).basis``.  The pair comes from the
-    momentum sector of the ground state, k = pi for M odd and k = 0 for
-    M even: :func:`_lanczos` there in float64 from a fixed start vector,
-    then in longdouble, then expansion to every state of each orbit.
-    Against a full-sector ``eigsh`` the energy and every G(x) agree to 1e-14
-    at L <= 18.
+    and ordered like ``spin_sector(L).basis``: :func:`_lowest_level` in the
+    ground state's momentum sector, k = pi for M odd and k = 0 for M even,
+    then expansion to every state of each orbit.  Against a full-sector
+    ``eigsh`` the energy and every G(x) agree to 1e-14 at L <= 18.
     """
     energy, psi, _ = _momentum_ground_state(L)
     return energy, psi
 
 
 def ed_spectral_gap(L: int) -> float:
-    """Gap between the two lowest distinct eigenvalues of the M = L/2 sector.
+    """Gap E_0(k') - E_0(k) between the two lowest distinct eigenvalues of the M = L/2 sector.
 
-    One float64 :func:`_lanczos` run on the full-sector hop triplet, until its
-    two lowest Ritz pairs converge: within 6e-16 of the free-fermion gap
-    4 sin(pi/L) at L = 6..18.  A Krylov run from one vector sees each distinct
-    eigenvalue once, so "simple ground state iff gap > 0" is a heuristic.
+    k is the ground state's momentum (pi for M odd, 0 for M even) and k' the
+    other real one.  Both energies come from :func:`_lowest_level`, the ground
+    state's solve, and their longdouble difference is rounded once: within
+    1.1e-16 of mpmath's 4 sin(pi/L) at L = 6..18.  It is the gap because the
+    ground state is simple and the lowest excitation, a particle-hole pair
+    across the Fermi sea, carries Delta k = pi and energy 4 sin(pi/L).  Tests
+    that use no fermions check both, in ``tests/test_ed.py``:
+    ``test_ground_state_is_simple`` against ARPACK's two lowest full-sector
+    eigenvalues and ``test_spectral_gap_against_dense_spectrum``.
     """
     sector = spin_sector(L)
-    n = sector.dimension
-    a, b, d = _momentum_hamiltonian(sector, sector.basis, np.arange(n), np.ones(n))
-    (e0, e1), _, steps, converged = _lanczos(
-        (a, b, d.astype(np.float64)), _start_vector(n), _GAP_STEPS, pairs=2)
-    if not converged:
-        raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
+    leaders, orbit, k_pi = _orbits(sector)
+    k_0 = np.ones(len(k_pi))
+    ground, other = (k_pi, k_0) if sector.M % 2 else (k_0, k_pi)
+    e0, e1 = (_lowest_level(sector, leaders, orbit, phase)[0] for phase in (ground, other))
     return float(e1 - e0)
 
 

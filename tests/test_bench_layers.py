@@ -21,6 +21,14 @@ def test_ed_eigensolver_leaves_no_thread_spinning():
     assert record["idle_cpu_s"] <= 0.02, record
 
 
+def test_ed_gap_leaves_no_thread_spinning():
+    # the full-sector gap's reorthogonalisation over 48,620 states ran on two
+    # OpenBLAS threads, which burnt 0.133 s of CPU in the sleep after the
+    # L = 18 calls; the momentum sectors' 2,704 states stay on one
+    record = bench_layers.measure(xxchain, "ed.gap", 18)
+    assert record["idle_cpu_s"] <= 0.02, record
+
+
 def test_pairs_compare_only_keys_every_run_has():
     # an absent layer has no times on one side: its keys are left out, not a KeyError
     def sample(side, i):

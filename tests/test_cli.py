@@ -546,7 +546,7 @@ def test_each_command_loads_only_the_modules_its_routes_run(argv, modules, code)
 
 
 def test_even_m_rings_and_the_gap_leave_scipy_unloaded():
-    # the full-sector gap, an M-even solve and an M-even sweep run on numpy alone
+    # the gap, an M-even solve and an M-even sweep run on numpy alone
     probe = ("import sys; from xxchain import ed; ed.ed_spectral_gap(10); "
              "ed.ed_ground_state(8); ed.ed_correlator_sweep(12, 11); "
              "print('done', *sorted({'scipy'} & set(sys.modules)))")

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from refs import momentum_filling_energy, rel, sector_hamiltonian
+from refs import eigsh_pair, momentum_filling_energy, rel, sector_hamiltonian
 from xxchain import (
     DomainError,
     LatticeSpec,
@@ -52,15 +52,23 @@ def test_ground_energy_matches_momentum_filling(L):
     assert energy == pytest.approx(momentum_filling_energy(L), abs=1e-11)
 
 
-@pytest.mark.parametrize("L", [6, 10, 14])
+@pytest.mark.parametrize("L", [6, 10, 14, 16])
 def test_ground_state_is_simple(L):
-    assert ed_spectral_gap(L) > 1e-6
+    # ARPACK's two lowest full-sector eigenvalues, from a Hamiltonian built
+    # bond by bond with no momentum and no fermions: a degenerate ground state
+    # would give e1 = e0, and the gap read from the two real momentum sectors
+    # must be their difference
+    e0, e1, _ = eigsh_pair(L)
+    assert e1 - e0 > 1e-6
+    assert abs(ed_spectral_gap(L) - (e1 - e0)) <= 1e-12
 
 
 def test_energy_reproducible():
-    # the full-sector solve of the gap, uncached, bit for bit;
-    # test_k_pi_solve_reproducible covers k = pi
-    assert ed_spectral_gap(14) == ed_spectral_gap(14)
+    # two solves of both momentum sectors, bit for bit: the solve cache is
+    # cleared in between; test_k_pi_solve_reproducible covers the ground state
+    gap = ed_spectral_gap(14)
+    _momentum_ground_state.cache_clear()
+    assert ed_spectral_gap(14) == gap
 
 
 def test_ed_memory_scales_with_the_sector():
@@ -103,6 +111,24 @@ def test_k_pi_solve_memory():
     assert peak <= 10 * unit
 
 
+def test_spectral_gap_memory():
+    # traced peak of the gap in basis units, with the sector cached and the
+    # solve cache cleared: two momentum-sector solves, one after the other,
+    # read 10.5; the full-sector Lanczos with its 100 x 48,620 float64 block
+    # read 160.2
+    L = 18
+    unit = 8 * math.comb(L, L // 2)
+    spin_sector(L)
+    _momentum_ground_state.cache_clear()
+    tracemalloc.start()
+    try:
+        ed_spectral_gap(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * unit
+
+
 @pytest.mark.parametrize("L", [6, 8, 10, 12])
 def test_spectral_gap_against_dense_spectrum(L):
     w = np.linalg.eigvalsh(sector_hamiltonian(L).toarray())
@@ -111,10 +137,10 @@ def test_spectral_gap_against_dense_spectrum(L):
 
 @pytest.mark.parametrize("L", range(6, 20, 2))
 def test_spectral_gap_is_the_free_fermion_gap(L):
-    # one particle-hole excitation at the Fermi points, on either parity.  With
-    # the energies recomputed in longdouble the gap is within 6e-16 of mpmath's
-    # under four OpenBLAS kernels; float64 Ritz values were 4.3e-15 off at
-    # L = 18, and eigsh up to 3.3e-14 (L = 16)
+    # one particle-hole excitation across the Fermi sea, Delta k = pi, on either
+    # parity.  The difference of the two longdouble sector energies is within
+    # 1.1e-16 of mpmath's; the float64-rounded energies would give up to
+    # 7.1e-16 (L = 18), and eigsh gives up to 3.3e-14 (L = 16)
     assert abs(ed_spectral_gap(L) - 4 * math.sin(math.pi / L)) <= 1e-15
 
 

@@ -14,8 +14,8 @@ def test_long_double_is_x87_extended():
       test_log_r_table_against_mpmath and test_ring_wallis_identity_and_mirror;
     * test_ed_momentum.py: test_lanczos_converges_in_longdouble and
       test_k_pi_state_is_an_eigenvector_in_longdouble;
-    * test_ed.py: test_spectral_gap_is_the_free_fermion_gap, whose energies
-      _lanczos recomputes in longdouble.
+    * test_ed.py: test_spectral_gap_is_the_free_fermion_gap, the difference of
+      two momentum sectors' energies from the longdouble Lanczos run.
 
     test_sine_grid_within_two_ulp, test_far_factors_against_mpmath and
     test_series_step_against_mpmath (test_exact.py) count their errors in units

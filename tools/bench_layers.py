@@ -194,7 +194,7 @@ LAYERS = {
     "ed.hamiltonian": Layer((10, 14, 18), _ed(1), _energy_ref, 3e-16),
     "ed.eigensolver": Layer((10, 14, 18), _ed(2), _energy_ref, 3e-16),
     "ed.pair_pass": Layer((10, 14, 18), _pair_pass, lambda L: _sweep_ref(L, L - 1), 3e-16),
-    # the full-sector solve of ed_spectral_gap, against the free-fermion gap
+    # ed_spectral_gap, both real momentum sectors solved afresh, against the free-fermion gap
     "ed.gap": Layer((10, 14, 18), _gap, lambda L: [4 * mp.sin(mp.pi / L)], 5e-15),
     "constants.series": Layer((10, 1000, 100_000), _call(lambda xx, N: xx.log_r_series(N)),
                               lambda N: [_log_r_barnes(N)], 1e-15),
@@ -207,6 +207,13 @@ LAYERS = {
         (1000, 10_000, 100_000),
         _call(lambda xx, n: xx.amplitude._richardson_limit(xx.log_r_table(n, xx.INFINITE).item, n)),
         _constant("ln_b"), 1e-13),
+    # the whole report at three subleading-fit windows [20, x_fit_max] (2000 is the CLI's);
+    # sub_coeff_fitted is 1.932e-3 from -C0/(8 sqrt(pi)) at all three, the bias of a
+    # one-term x^(-5/2) fit, which the bound sits just above
+    "constants.report": Layer(
+        (2000, 20_000, 200_000),
+        _call(lambda xx, x: xx.amplitude_report(x_fit_max=x), lambda r: [r.sub_coeff_fitted]),
+        _constant("sub_coeff"), 2e-3),
     "constants.glaisher": Layer((None,), _call(lambda xx, _: xx.glaisher()),
                                 _constant("glaisher_a", "zeta_prime_minus1"), 3e-14),
     # the C0 of the asym column and of finite-size
