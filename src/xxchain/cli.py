@@ -68,7 +68,7 @@ def _parse_lattice(text: str, parser: argparse.ArgumentParser) -> LatticeSpec:
     try:
         return LatticeSpec.finite(L)
     except DomainError:
-        parser.error(f"invalid --L {L}: L must satisfy L/2 odd (and L >= 6)")
+        parser.error(f"invalid --L {L}: L must be even and >= 6")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -80,8 +80,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _next_admissible(L: int) -> int:
-    L = max(L, 6)
-    return L + (2 - L) % 4
+    return max(L + L % 2, 6)
 
 
 def _row_values(x_max, lattice, params):
@@ -247,7 +246,7 @@ def cmd_finite_size(args, parser) -> int:
         adjusted=adjustments,
     )
     if adjustments:
-        print("note: adjusted to L/2-odd lengths: " + ", ".join(adjustments), file=sys.stderr)
+        print("note: adjusted to even lengths >= 6: " + ", ".join(adjustments), file=sys.stderr)
     if args.format == "csv":
         _write(columns_to_csv(list(columns), list(columns.values())), args.out)
     else:
@@ -264,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("correlator", help="compare correlator routes over x = 1..x-max")
-    p.add_argument("--L", required=True, help="ring length (L/2 odd), or 'inf'")
+    p.add_argument("--L", required=True, help="ring length (even, >= 6), or 'inf'")
     p.add_argument("--x-max", type=int, required=True)
     p.add_argument("--routes", default="det,product", help=f"comma list from {','.join(KNOWN_ROUTES)}")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

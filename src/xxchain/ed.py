@@ -6,8 +6,8 @@ fermionization is involved, so results from this module are independent of
 all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 :mod:`xxchain.exact`.
 
-Every even L from 6 to ``MAX_ED_LENGTH`` is admitted, the M-even rings
-outside the closed formulas included.  H commutes with the translation T;
+Every even L from 6 to ``MAX_ED_LENGTH`` is admitted, by the ring-length
+rule of every route.  H commutes with the translation T;
 its real momenta k = 0 and k = pi give sectors of one state per translation
 orbit (2,704 at L = 18 against 48,620 states).  The ground state lies at
 k = pi for M odd, with the +1 hop, and at k = 0 for M even; the spectral gap
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SizeError, check_int
+from .errors import SizeError, check_int, check_ring_length
 
 __all__ = [
     "SpinSector",
@@ -76,10 +76,8 @@ class SpinSector:
 
 
 def _check_length(L: int) -> int:
-    """The module's one admission rule: an even integer 6 <= L <= ``MAX_ED_LENGTH``."""
-    L = check_int("L", L)
-    if L % 2 != 0 or L < 6:
-        raise DomainError(f"L must be even and >= 6, got {L}")
+    """The package's ring-length rule, an even integer L >= 6, capped at ``MAX_ED_LENGTH``."""
+    L = check_ring_length(L)
     if L > MAX_ED_LENGTH:
         raise SizeError(f"L={L} exceeds the diagonalization guard {MAX_ED_LENGTH}")
     return L

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, its one integer-argument check and two size guards.
+"""Exception types shared across the package, its integer-argument check, its ring-length rule and two size guards.
 
 The guards are :mod:`xxchain.exact`'s (it re-exports them); they live here
 because the command line fences its arguments against them before any route
@@ -43,4 +43,12 @@ def check_int(name: str, value, lo: int | None = None, hi: int | None = None) ->
     if n is None or (lo is not None and n < lo) or (hi is not None and n > hi):
         span = f"[{'-inf' if lo is None else lo}, {'inf' if hi is None else hi}]"
         raise DomainError(f"{name} must be an integer in {span}, got {value!r}")
+    return n
+
+
+def check_ring_length(L) -> int:
+    """``L`` as a Python int if it is an even integer >= 6: the ring-length rule of every route."""
+    n = check_int("L", L)
+    if n < 6 or n % 2:
+        raise DomainError(f"L must be an even integer >= 6, got {L!r}")
     return n

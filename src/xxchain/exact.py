@@ -16,8 +16,8 @@ oracle.  Route two evaluates R_N in closed form as a product of sines, in log
 space, for every N <= L/2, so it covers every distance 1 <= x <= L-1 on its
 own; on a ring R_{L/2} = 1 (the ring Wallis identity).
 
-Both routes work on a finite M-odd ring and in the thermodynamic limit and
-must agree to near machine precision; neither calls the other, and the
+Both routes work on every even ring, L >= 6, and in the thermodynamic limit
+and must agree to near machine precision; neither calls the other, and the
 diagonalization oracle in :mod:`xxchain.ed` pins them to the spin Hamiltonian
 itself.
 """
@@ -86,25 +86,27 @@ def _check_distance(x: int, lattice: LatticeSpec) -> int:
 def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     """The contraction kernel 2 G0(d) at odd d and 0 at even d, for integer d in (-L, L), in np.longdouble.
 
-    Vectorised :func:`xxchain.greens.g0` with the same folding: on a ring
-    |d| is folded into [0, L/2] through g0(L - d) = g0(d), so every sine is
-    taken at an argument <= pi/2, from :data:`_PI`.  The even entries, the
+    Vectorised :func:`xxchain.greens.g0` with the same fold: on a ring the
+    sine is taken at min(|d|, L - |d|), an argument <= pi/2, from :data:`_PI`,
+    and the sign from |d| itself, which carries G0(L - d) = (-1)^(M+1) G0(d)
+    at odd d.  The even entries, the
     diagonal d = 0 included, are zero because the density term cancels
     2 G0(0) = 1.  Rounded to float64, a value is within 3.3e-16 of the scalar
     :func:`xxchain.greens.g0`.  L enters as a Python int and a longdouble,
     never as an int64, so a ring of 2^63 sites or more is admitted too.
     """
     n = np.abs(d)
-    if lattice.is_finite:
-        L = lattice.length
-        if int(n.max()) > L // 2:  # L - n casts L to int64, which fails from 2^63 on
-            n = np.where(n > L // 2, L - n, n)
-        L = np.longdouble(L)
     odd = n % 2 == 1
     m = n[odd]
+    num = np.where(m % 4 == 1, 2, -2)  # the sign of sin(pi m/2), before the fold
+    if lattice.is_finite:
+        L = lattice.length
+        if int(n.max()) > L // 2:  # L - m casts L to int64, which fails from 2^63 on
+            m = np.where(m > L // 2, L - m, m)
+        L = np.longdouble(L)
     denom = L * np.sin(_PI * m / L) if lattice.is_finite else _PI * m
     out = np.zeros(np.shape(d), dtype=np.longdouble)
-    out[odd] = np.where(m % 4 == 1, 2, -2) / denom
+    out[odd] = num / denom
     return out
 
 
@@ -253,7 +255,7 @@ def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
     loses ~1e-8 absolute by N ~ 1e4; past q_k^2 = 2^-20 a short series takes
     the place of log1p (:func:`_neg_log1m`).  On a ring the sines come from
     :func:`_sine_grid` for k <= L/4; past L/4 the factors fold exactly,
-    f_k = f_{L/2-k} (sin(2 pi k/L) = sin(pi - 2 pi k/L), L/2 odd), so no sine
+    f_k = f_{L/2-k} (sin(2 pi k/L) = sin(pi - 2 pi k/L), every even L), so no sine
     is taken past pi/2, where the rounded longdouble argument put sinl off by
     up to 1.1e4 ulp at L = 100002 (1.7e6 at L = 9999998), and a sweep past
     x = L/2 pays for each factor once.  On the infinite chain q_k^2 = 1/(2k)^2

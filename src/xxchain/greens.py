@@ -5,10 +5,11 @@ The kernel computed here,
     G0(x) = sin(pi x / 2) / (L sin(pi x / L)),      G0(x) -> sin(pi x / 2) / (pi x)  as L -> oo,
 
 is the building block of every determinant representation of the spin-spin
-correlator.  It is only valid on rings whose half filling M = L/2 is an odd
-integer (equivalently L = 2 mod 4): for those rings the fermion momenta are
-integer multiples of 2 pi / L, filled symmetrically around the band minimum,
-and the Dirichlet kernel collapses to the closed form above.
+correlator.  It holds on every even ring, L >= 6: M = L/2 fermions fill
+momenta symmetrically around the band minimum, integer multiples of 2 pi / L
+for M odd and half-odd ones for M even, and either way the Dirichlet kernel
+collapses to the closed form above.  That form is periodic across the ring
+for M odd and antiperiodic for M even: G0(x + L) = (-1)^(M+1) G0(x).
 """
 
 from __future__ import annotations
@@ -16,37 +17,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_int
+from .errors import check_int, check_ring_length
 
 __all__ = ["LatticeSpec", "INFINITE", "g0"]
 
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """A finite periodic ring of even length, or the thermodynamic limit.
+    """A finite periodic ring of even length L >= 6, M = L/2 odd or even, or the thermodynamic limit.
 
     Parameters
     ----------
     length : int or None
         Number of sites; ``None`` selects the infinite chain.
-
-    Notes
-    -----
-    Finite lengths must satisfy L >= 6, L even and M = L/2 odd.  Rings with
-    M even are rejected outright: the closed formulas implemented downstream
-    hold only in the M-odd sector.
     """
 
     length: int | None = None
 
     def __post_init__(self):
-        L = self.length
-        if L is None:
-            return
-        L = check_int("L", L, 6)
-        object.__setattr__(self, "length", L)
-        if L % 2 != 0 or (L // 2) % 2 != 1:
-            raise DomainError(f"L must satisfy L/2 odd, got L={L}")
+        if self.length is not None:
+            object.__setattr__(self, "length", check_ring_length(self.length))
 
     @classmethod
     def finite(cls, L: int) -> "LatticeSpec":
@@ -68,18 +58,17 @@ def g0(x: int, lattice: LatticeSpec = INFINITE) -> float:
 
     Returns the analytic limit 1/2 at x = 0 (the half-filling density) and
     exactly 0 at every other even separation.  The argument is taken as |x|,
-    by g0(-x) = g0(x); on a finite ring, where -L < x < L, it is then folded
-    into [0, L/2] by g0(L - x) = g0(x) (which requires M odd), so the sine in
-    the denominator is always evaluated at an argument <= pi/2.
+    by g0(-x) = g0(x).  On a finite ring, where -L < x < L, the denominator
+    folds n = |x| into [0, L/2] by sin(pi (L - n)/L) = sin(pi n/L), so its
+    sine is always evaluated at an argument <= pi/2.  The sign stays that of
+    the unfolded n, so the fold carries g0(L - x) = (-1)^(M+1) g0(x) at odd x.
     """
     L = lattice.length
     x = check_int("x", x, 1 - L, L - 1) if lattice.is_finite else check_int("x", x)
     n = abs(x)
-    if lattice.is_finite:
-        n = min(n, L - n)
     if n == 0:
         return 0.5
     if n % 2 == 0:
         return 0.0
     sign = 1.0 if n % 4 == 1 else -1.0
-    return sign / (L * math.sin(math.pi * n / L) if lattice.is_finite else math.pi * n)
+    return sign / (L * math.sin(math.pi * min(n, L - n) / L) if lattice.is_finite else math.pi * n)

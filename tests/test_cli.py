@@ -49,11 +49,10 @@ def test_det_route_runs_on_a_ring_past_int64(capsys):
 
 
 def test_correlator_rejects_bad_length(capsys):
-    code, _, err = run(["correlator", "--L", "7", "--x-max", "3"], capsys)
-    assert code == 2
-    assert "L/2 odd" in err
-    code, _, err = run(["correlator", "--L", "8", "--x-max", "3"], capsys)
-    assert code == 2
+    for L in ("7", "4"):
+        code, _, err = run(["correlator", "--L", L, "--x-max", "3"], capsys)
+        assert code == 2
+        assert "L must be even and >= 6" in err
 
 
 def test_correlator_x_max_validation(capsys):
@@ -339,8 +338,8 @@ def test_finite_size_adjusts_lengths(capsys):
     )
     assert code == 0
     doc = json.loads(out)
-    assert [row["L"] for row in doc["rows"]] == [6, 6, 258, 514]
-    assert doc["meta"]["adjusted"] == ["1->6", "5->6", "256->258", "512->514"]
+    assert [row["L"] for row in doc["rows"]] == [6, 6, 256, 512]
+    assert doc["meta"]["adjusted"] == ["1->6", "5->6"]
     assert "adjusted" in err
 
 

@@ -22,6 +22,7 @@ from xxchain.ed import (
     ed_correlator_by_site,
     ed_correlator_sweep,
 )
+from xxchain.exact import correlator_det_sweep, correlator_sweep
 
 
 def test_sector_shape():
@@ -238,42 +239,16 @@ def test_admissibility():
         ed_correlator(10, 10)
 
 
-def test_even_m_ring_exploratory_report():
-    # Exploratory report, not an acceptance gate: measure how far the
-    # M-even sector ground state sits from the M-odd closed formula.
-    # Measured result: agreement to machine precision at L = 8, 12, 16 --
-    # the antiperiodic momenta of the M-even sector fill into the same
-    # Dirichlet kernel at half filling, so no 1/L correction shows up at
-    # the level of the sector-resolved ground state.
-    for L in (8, 12):
-        energy, _ = ed_ground_state(L)
-        assert math.isfinite(energy)
-        devs = []
-        for x in range(1, L):
-            e = ed_correlator(L, x)
-            devs.append(abs(e - _modd_stub(x, L)))
-        print(f"L={L} (M even): max |ED - M-odd formula| over all x = {max(devs):.3e}")
-        assert max(devs) < 0.5
-
-
-def _modd_stub(x, L):
-    # evaluate the M-odd closed formula at the same L by bypassing the
-    # lattice validator: build the kernel directly from the sine formula
-    import numpy as np
-
-    def kernel(d):
-        if d % 2 == 0:
-            return 0.0
-        return 2.0 * math.sin(math.pi * d / 2) / (L * math.sin(math.pi * d / L))
-
-    mat = np.array([[kernel(i - j - 1) for j in range(1, x + 1)] for i in range(1, x + 1)])
-    sign = 1.0 if x % 2 == 0 else -1.0
-    return 0.5 * sign * float(np.linalg.det(mat))
-
-
-def test_even_m_agreement_holds_at_larger_ring():
-    # follow-up to the exploratory report: the machine-level agreement is
-    # not a small-L accident
-    gap = max(abs(ed_correlator(16, x) - _modd_stub(x, 16)) for x in (1, 2, 3))
-    print(f"L=16 (M even): max |ED - M-odd formula| at x<=3 = {gap:.3e}")
-    assert gap < 1e-12
+@pytest.mark.parametrize("L", [8, 12, 16])
+def test_m_even_rings_agree_with_ed_on_every_route(L):
+    # on these rings the kernel fold carries G0(L - d) = -G0(d) at odd d; ED, on spins alone, checks that sign
+    lat = LatticeSpec.finite(L)
+    expected = ed_correlator_sweep(L, L - 1)
+    routes = {
+        "det sweep": correlator_det_sweep(L - 1, lat),
+        "det LU": [correlator_det(x, lat) for x in range(1, L)],
+        "product": correlator_sweep(L - 1, lat),
+    }
+    for name, values in routes.items():
+        # at most 1.4e-16, 1.9e-16 and 4.2e-16 measured at L = 8, 12 and 16
+        assert max(map(rel, values, expected)) <= 1e-15, name

@@ -286,11 +286,11 @@ def test_det_sweep_against_mpmath(L):
     assert worst <= 1e-15  # 3.1e-16 on L = 1102, 2.6e-16 on L = 1202, 3.0e-16 on the infinite chain
 
 
-@pytest.mark.parametrize("L", [62, 1202, 4094])
+@pytest.mark.parametrize("L", [62, 1202, 4094, 1200, 4096])
 def test_det_sweep_is_reflection_symmetric(L):
     # G(L - x) = G(x) on a ring; the recursion reaches the two ends by different steps
     g = correlator_det_sweep(L - 1, LatticeSpec.finite(L))
-    assert np.max(np.abs(g[::-1] / g - 1)) <= 1e-14  # 0, 4.4e-16 and 3.1e-15 measured
+    assert np.max(np.abs(g[::-1] / g - 1)) <= 1e-14  # 0, 4.4e-16, 3.1e-15, 6.7e-16 and 1.3e-15 measured
 
 
 def test_det_sweep_is_independent_of_the_sine_product(monkeypatch):
@@ -322,14 +322,14 @@ def test_product_route_is_independent_of_the_det_route(monkeypatch, L):
     assert rel(correlator_sweep(L - 1, lat)[-1], g1) <= 1e-15  # 4.4e-16 at L = 8194
 
 
-@pytest.mark.parametrize("L", [*range(6, 63, 4), 1102, 8194])
+@pytest.mark.parametrize("L", [*range(6, 63, 4), 1102, 8194, 8, 12, 1200, 8192])
 def test_ring_wallis_identity_and_mirror(L):
     # log R_{L/2} = 0, and R_N = R_{L/2-N} from G(2N) = G(L-2N): the table builds in neither
     h = L // 2
     lat = LatticeSpec.finite(L)
     table = log_r_table(h, lat)
-    assert abs(table[h]) <= 1e-15  # 2.6e-16 measured at L = 8194
-    assert np.max(np.abs(table - table[::-1])) <= 1e-15  # 4.4e-16 measured at L = 8194
+    assert abs(table[h]) <= 1e-15  # 2.6e-16 measured at L = 8194, 9.5e-17 at L = 8192
+    assert np.max(np.abs(table - table[::-1])) <= 1e-15  # 4.4e-16 measured at L = 8194 and 8192
     if L <= 62:  # the float64 determinant drifts from 1 as L grows
         assert abs(r_det(h, lat) - 1) <= 1e-13  # 2.4e-15 measured at L = 62
 

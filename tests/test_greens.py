@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from xxchain import DomainError, INFINITE, LatticeSpec, g0
+from xxchain import DomainError, INFINITE, LatticeSpec, ed_correlator, g0
 
 
 def test_infinite_values():
@@ -18,11 +18,13 @@ def test_finite_values():
     assert g0(0, LatticeSpec.finite(10)) == 0.5
 
 
-@pytest.mark.parametrize("L", [6, 10, 14, 62])
+@pytest.mark.parametrize("L", [6, 8, 10, 12, 14, 62, 64])
 def test_ring_reflection(L):
+    # g0(L - x) = (-1)^(M+1) g0(x) at odd x: periodic for M odd, antiperiodic for M even
     lat = LatticeSpec.finite(L)
+    sign = 1 if (L // 2) % 2 else -1
     for x in range(1, L):
-        assert g0(L - x, lat) == pytest.approx(g0(x, lat), abs=1e-15)
+        assert g0(L - x, lat) == pytest.approx((sign if x % 2 else 1) * g0(x, lat), abs=1e-15)
 
 
 @pytest.mark.parametrize("L", [6, 10, 62])
@@ -51,10 +53,22 @@ def test_finite_to_infinite_convergence_is_second_order():
         assert 3.5 < ratio < 4.5
 
 
-@pytest.mark.parametrize("L", [4, 7, 8, 12, 0, -6])
+@pytest.mark.parametrize("L", [4, 7, 0, -6])
 def test_bad_lengths_rejected(L):
     with pytest.raises(DomainError):
         LatticeSpec.finite(L)
+
+
+def test_one_length_rule_for_every_route():
+    # every even L >= 6 is a ring, M = L/2 odd or even; ED applies the same rule below its size guard
+    for L in (6, 8, 10, 12, 2**63 + 4):
+        assert LatticeSpec.finite(L).length == L
+    for bad in (4, 7, 0, -6, 8.0, True):
+        with pytest.raises(DomainError) as lattice_error:
+            LatticeSpec.finite(bad)
+        with pytest.raises(DomainError) as ed_error:
+            ed_correlator(bad, 1)
+        assert str(ed_error.value) == str(lattice_error.value)
 
 
 def test_out_of_range_x_rejected():

@@ -1,4 +1,4 @@
-"""Property tests over admissible rings (L = 2 mod 4): symmetries and route agreement."""
+"""Property tests over admissible rings (every even L >= 6, M = L/2 odd or even): symmetries and route agreement."""
 
 import pytest
 
@@ -16,8 +16,8 @@ FAST = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 @st.composite
 def ring_and_distance(draw, max_length=402):
-    """An admissible ring length L and a distance 1 <= x <= L - 1."""
-    L = 4 * draw(st.integers(1, (max_length - 2) // 4)) + 2
+    """An admissible ring length, even 6 <= L <= max_length, and a distance 1 <= x <= L - 1."""
+    L = 2 * draw(st.integers(3, max_length // 2))
     return L, draw(st.integers(1, L - 1))
 
 

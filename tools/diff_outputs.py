@@ -36,6 +36,7 @@ GOLDEN = {
     "correlator_L1202_det_product.csv": ["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product"],
     "correlator_L18_ed_det_product.csv": ["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product"],
     "correlator_L10_all_routes.csv": ["correlator", "--L", "10", "--x-max", "9", "--routes", "ed,det,product,asym"],
+    "correlator_L8_all_routes.csv": ["correlator", "--L", "8", "--x-max", "7", "--routes", "ed,det,product,asym"],
     "constants.csv": ["constants"],
     "finite_size.csv": ["finite-size", "--L-list", "62,1202,100002,622790"],
 }
