@@ -53,7 +53,10 @@ def test_finite_to_infinite_convergence_is_second_order():
         assert 3.5 < ratio < 4.5
 
 
-@pytest.mark.parametrize("L", [4, 7, 0, -6])
+# 8 and 12 are rings as integers (M-even is admitted); spelled as floats they stay bad lengths
+@pytest.mark.parametrize(
+    "L", [4, 7, 0, -6, pytest.param(8.0, id="8"), pytest.param(12.0, id="12")]
+)
 def test_bad_lengths_rejected(L):
     with pytest.raises(DomainError):
         LatticeSpec.finite(L)
