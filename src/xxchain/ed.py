@@ -7,15 +7,16 @@ all Jordan-Wigner and determinant bookkeeping and serve as ground truth for
 :mod:`xxchain.exact`.
 
 Every even L from 6 to ``MAX_ED_LENGTH`` is admitted, by the ring-length
-rule of every route.  H commutes with the translation T;
-its real momenta k = 0 and k = pi give sectors of one state per translation
-orbit (2,704 at L = 18 against 48,620 states).  The ground state lies at
-k = pi for M odd, with the +1 hop, and at k = 0 for M even; the spectral gap
-is the other sector's lowest energy less the ground energy.  Each sector's
-H is one hop triplet, solved by one small numpy Lanczos loop in float64 from
-a fixed start vector, then for a few steps in ``np.longdouble``.  The ground
-state's longdouble vector is expanded to full-sector amplitudes, exactly
-antisymmetric (k = pi) or symmetric (k = 0) under translation.  Each step
+rule of every route.  H commutes with the translation T; its real momenta
+k = 0 and k = pi give sectors of one state per translation orbit (2,704 at
+L = 18 against 48,620 states).  The ground state lies at k = pi for M odd,
+with the +1 hop, and at k = 0 for M even; the spectral gap is the other
+sector's lowest energy less the ground energy.  One cached solve per (L, k)
+serves the ground state, the pair pass and the gap.  Each sector's H is one
+hop triplet, solved by one small numpy Lanczos loop in float64 from a fixed
+start vector, then for a few steps in ``np.longdouble``, and its longdouble
+vector is expanded to full-sector amplitudes, exactly antisymmetric
+(k = pi) or symmetric (k = 0) under translation.  Each step
 takes the lowest Ritz pair of the tridiagonal matrix from ``eigvalsh`` and
 an O(m) inverse iteration, on one thread: a dense ``eigh`` would call
 ``dgemm`` and leave BLAS threads spinning.  The module needs numpy alone;
@@ -84,7 +85,7 @@ def _check_length(L: int) -> int:
 
 
 def _cached_per_length(build):
-    """One cache entry per L, which :func:`_check_length` checks before the lookup.
+    """One cache entry per L and further arguments, L checked by :func:`_check_length` first.
 
     A cache keyed on the raw argument would hand ``18.0`` the entry of L = 18,
     and ``True`` to the build, unchecked.
@@ -92,8 +93,8 @@ def _cached_per_length(build):
     cached = functools.lru_cache(maxsize=None)(build)
 
     @functools.wraps(build)
-    def call(L: int):
-        return cached(_check_length(L))
+    def call(L: int, *args):
+        return cached(_check_length(L), *args)
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
@@ -131,16 +132,15 @@ def _start_vector(dim: int) -> np.ndarray:
     return ((k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(11)) * 2.0**-53 - 0.5
 
 
-def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Translation orbits of the basis and their k = pi phase: ``(leaders, orbit, phase)``.
+def _orbits(sector: SpinSector, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Translation orbits of the basis and their momentum-k phase: ``(leaders, orbit, phase)``.
 
     ``leaders`` holds each orbit's smallest member, ascending; ``orbit``
     numbers the orbit of every basis state, so ``np.bincount(orbit)`` are
-    the orbit lengths P.  A state s = T^l(leader) carries the k = pi phase
-    (-1)^l; the k = 0 phase is 1.  The k = pi phase is the same for every l
-    that reaches s, because P is even at either parity of M: a state of
-    period P holds M P / L = P/2 up spins per period.  One vectorised pass
-    per power of T.
+    the orbit lengths P.  A state s = T^l(leader) carries the phase (-1)^(k l),
+    k = 0 or 1 in units of pi.  It is the same for every l that reaches s,
+    because P is even at either parity of M: a state of period P holds
+    M P / L = P/2 up spins per period.  One vectorised pass per power of T.
     """
     L, basis = sector.L, sector.basis
     leader = basis.copy()
@@ -150,7 +150,7 @@ def _orbits(sector: SpinSector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         state = ((state << 1) | (state >> (L - 1))) & ((1 << L) - 1)
         smaller = state < leader
         leader[smaller] = state[smaller]
-        phase[smaller] = (-1.0) ** r  # T^r(s) = leader, so s = T^(L-r)(leader)
+        phase[smaller] = (-1.0) ** (k * r)  # T^r(s) = leader, so s = T^(L-r)(leader)
     leaders = basis[leader == basis]
     return leaders, np.searchsorted(leaders, leader), phase
 
@@ -159,10 +159,9 @@ def _momentum_hamiltonian(sector: SpinSector, leaders, orbit, phase) -> tuple:
     """H in the orthonormal momentum states |a> = P_a^(-1/2) sum of phase(s) |s> over orbit a.
 
     A hop that takes leader a to s in orbit b adds phase(s) sqrt(P_a/P_b) to
-    element (b, a), P = ``np.bincount(orbit)``: k = pi with the phase of
-    :func:`_orbits`, k = 0 with phase 1.  H is one bond-major hop triplet
-    ``(a, b, d)``, H[b, a] += d (bond 0's hops, then bond 1's, ..., each in
-    ascending ``a``), with longdouble ``d``.
+    element (b, a), P = ``np.bincount(orbit)``, with the phase of :func:`_orbits`.
+    H is one bond-major hop triplet ``(a, b, d)``, H[b, a] += d (bond 0's hops,
+    then bond 1's, ..., each in ascending ``a``), with longdouble ``d``.
     """
     L = sector.L
     lengths = np.bincount(orbit).astype(np.longdouble)
@@ -255,33 +254,31 @@ def _lanczos(H: tuple, q: np.ndarray, steps: int) -> tuple:
         Q[m] = w / beta[m - 1]
 
 
-def _lowest_level(sector: SpinSector, leaders, orbit, phase) -> tuple:
-    """Lowest ``(energy, c)`` of the momentum sector ``phase``, in longdouble, c over ``leaders``.
+def _lowest_level(H: tuple) -> tuple:
+    """Lowest ``(energy, c)`` of the longdouble hop triplet H, whose every orbit ``a`` has a hop.
 
     :func:`_lanczos` in float64 from :func:`_start_vector`, then in longdouble
     from the float64 vector; a spent float64 budget raises ``ArithmeticError``.
     """
-    a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
+    a, b, d = H
     _, v, steps, converged = _lanczos(
-        (a, b, d.astype(np.float64)), _start_vector(len(leaders)), _LANCZOS_STEPS)
+        (a, b, d.astype(np.float64)), _start_vector(int(a.max()) + 1), _LANCZOS_STEPS)
     if not converged:
         raise ArithmeticError(f"Lanczos did not converge in {steps} steps")
-    energy, c, _, _ = _lanczos((a, b, d), v.astype(np.longdouble), _POLISH_STEPS)
+    energy, c, _, _ = _lanczos(H, v.astype(np.longdouble), _POLISH_STEPS)
     return energy, c
 
 
 @_cached_per_length
-def _momentum_ground_state(L: int):
-    """Ground state from the k = pi (M odd) or k = 0 (M even) sector, expanded to the full sector.
+def _momentum_level(L: int, other: bool = False):
+    """Lowest level of momentum k = (M + other) mod 2 (units of pi), expanded to the full sector.
 
-    Returns ``(energy, psi, psi_ld)``: psi in float64 and in longdouble, ordered
-    like ``spin_sector(L).basis``, with psi(T s) = -psi(s) or psi(s) exactly.
+    ``other`` false gives the ground state's sector.  Returns ``(energy, psi, psi_ld)``: the
+    longdouble energy and psi in float64 and longdouble, ordered like ``spin_sector(L).basis``.
     """
     sector = spin_sector(L)
-    leaders, orbit, phase = _orbits(sector)
-    if sector.M % 2 == 0:  # k = 0: <psi|T|psi> = 1 at L = 8, 12 and 16
-        phase = np.ones(len(phase))
-    energy, c = _lowest_level(sector, leaders, orbit, phase)
+    leaders, orbit, phase = _orbits(sector, (sector.M + other) % 2)
+    energy, c = _lowest_level(_momentum_hamiltonian(sector, leaders, orbit, phase))
     c /= np.sqrt(c @ c)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
     psi_ld = c[orbit]
@@ -289,41 +286,32 @@ def _momentum_ground_state(L: int):
     psi = psi_ld.astype(np.float64)
     for arr in (psi, psi_ld):
         arr.setflags(write=False)
-    return float(energy), psi, psi_ld
+    return energy, psi, psi_ld
 
 
 def ed_ground_state(L: int) -> tuple[float, np.ndarray]:
-    """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector.
+    """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector, from :func:`_momentum_level`.
 
-    Returns ``(energy, amplitudes)`` with the amplitude vector normalized
-    and ordered like ``spin_sector(L).basis``: :func:`_lowest_level` in the
-    ground state's momentum sector, k = pi for M odd and k = 0 for M even,
-    then expansion to every state of each orbit.  Against a full-sector
-    ``eigsh`` the energy and every G(x) agree to 1e-14 at L <= 18.
+    Returns ``(energy, amplitudes)`` with the amplitude vector normalized and
+    ordered like ``spin_sector(L).basis``.  Against a full-sector ``eigsh``
+    the energy and every G(x) agree to 1e-14 at L <= 18.
     """
-    energy, psi, _ = _momentum_ground_state(L)
-    return energy, psi
+    energy, psi, _ = _momentum_level(L)
+    return float(energy), psi
 
 
 def ed_spectral_gap(L: int) -> float:
     """Gap E_0(k') - E_0(k) between the two lowest distinct eigenvalues of the M = L/2 sector.
 
-    k is the ground state's momentum (pi for M odd, 0 for M even) and k' the
-    other real one.  Both energies come from :func:`_lowest_level`, the ground
-    state's solve, and their longdouble difference is rounded once: within
-    1.1e-16 of mpmath's 4 sin(pi/L) at L = 6..18.  It is the gap because the
-    ground state is simple and the lowest excitation, a particle-hole pair
-    across the Fermi sea, carries Delta k = pi and energy 4 sin(pi/L).  Tests
-    that use no fermions check both, in ``tests/test_ed.py``:
-    ``test_ground_state_is_simple`` against ARPACK's two lowest full-sector
-    eigenvalues and ``test_spectral_gap_against_dense_spectrum``.
+    k is the ground state's momentum and k' the other real one; the longdouble
+    difference of their cached :func:`_momentum_level` energies is rounded once,
+    within 1.1e-16 of mpmath's 4 sin(pi/L) at L = 6..18.  It is the gap because the
+    ground state is simple and the lowest excitation, a particle-hole pair across the
+    Fermi sea, carries Delta k = pi and energy 4 sin(pi/L).  Tests in ``test_ed.py``
+    check both with no fermions: ``test_ground_state_is_simple`` against ARPACK's two
+    lowest full-sector eigenvalues, and ``test_spectral_gap_against_dense_spectrum``.
     """
-    sector = spin_sector(L)
-    leaders, orbit, k_pi = _orbits(sector)
-    k_0 = np.ones(len(k_pi))
-    ground, other = (k_pi, k_0) if sector.M % 2 else (k_0, k_pi)
-    e0, e1 = (_lowest_level(sector, leaders, orbit, phase)[0] for phase in (ground, other))
-    return float(e1 - e0)
+    return float(_momentum_level(L, True)[0] - _momentum_level(L)[0])
 
 
 def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances) -> np.ndarray:
@@ -358,7 +346,7 @@ def _pair_pass(sector: SpinSector, distances) -> np.ndarray:
     under translation, so site 0 alone is read, with the longdouble amplitudes.
     """
     ed_ground_state(sector.L)  # the solve, under its public name
-    psi = _momentum_ground_state(sector.L)[2]  # cached by the solve
+    psi = _momentum_level(sector.L)[2]  # cached by the solve
     return _pair_values(sector, psi, 0, distances).astype(np.float64)
 
 

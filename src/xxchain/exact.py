@@ -93,7 +93,9 @@ def _wick_kernel(d: np.ndarray, lattice: LatticeSpec) -> np.ndarray:
     diagonal d = 0 included, are zero because the density term cancels
     2 G0(0) = 1.  Rounded to float64, a value is within 3.3e-16 of the scalar
     :func:`xxchain.greens.g0`.  L enters as a Python int and a longdouble,
-    never as an int64, so a ring of 2^63 sites or more is admitted too.
+    never as an int64, so a ring of 2^63 sites or more is admitted too, for
+    |d| <= L/2 only: past it the fold's L - |d| casts L to int64 and raises
+    ``OverflowError``.
     """
     n = np.abs(d)
     odd = n % 2 == 1

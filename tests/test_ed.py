@@ -18,7 +18,7 @@ from xxchain import (
     spin_sector,
 )
 from xxchain.ed import (
-    _momentum_ground_state,
+    _momentum_level,
     ed_correlator_by_site,
     ed_correlator_sweep,
 )
@@ -68,7 +68,7 @@ def test_energy_reproducible():
     # two solves of both momentum sectors, bit for bit: the solve cache is
     # cleared in between; test_k_pi_solve_reproducible covers the ground state
     gap = ed_spectral_gap(14)
-    _momentum_ground_state.cache_clear()
+    _momentum_level.cache_clear()
     assert ed_spectral_gap(14) == gap
 
 
@@ -102,10 +102,10 @@ def test_k_pi_solve_memory():
     L = 18
     unit = 8 * math.comb(L, L // 2)
     spin_sector(L)
-    _momentum_ground_state.cache_clear()
+    _momentum_level.cache_clear()
     tracemalloc.start()
     try:
-        _momentum_ground_state(L)
+        _momentum_level(L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -115,12 +115,13 @@ def test_k_pi_solve_memory():
 def test_spectral_gap_memory():
     # traced peak of the gap in basis units, with the sector cached and the
     # solve cache cleared: two momentum-sector solves, one after the other,
-    # read 10.5; the full-sector Lanczos with its 100 x 48,620 float64 block
-    # read 160.2
+    # both cached with their expanded states, read 12.5 (10.5 when the gap
+    # kept the energies alone); the full-sector Lanczos with its
+    # 100 x 48,620 float64 block read 160.2
     L = 18
     unit = 8 * math.comb(L, L // 2)
     spin_sector(L)
-    _momentum_ground_state.cache_clear()
+    _momentum_level.cache_clear()
     tracemalloc.start()
     try:
         ed_spectral_gap(L)

@@ -1,4 +1,10 @@
-"""The k = pi momentum-sector ground state of M-odd rings, against the full sector."""
+"""The momentum-sector solve against the full sector, and its cache.
+
+M-odd rings solve in k = pi.  The k = 0 solve of M-even rings is checked by
+``test_even_m_rings_use_k_0`` and ``test_even_m_solve_and_gap_are_reproducible``;
+``test_gap_reuses_the_ground_state_solve`` checks that the gap reads the
+ground state's cached solve.
+"""
 
 import numpy as np
 import pytest
@@ -10,8 +16,8 @@ from xxchain.ed import (
     _LANCZOS_STEPS,
     _apply,
     _lanczos,
-    _momentum_ground_state,
     _momentum_hamiltonian,
+    _momentum_level,
     _orbits,
     _pair_values,
     _start_vector,
@@ -36,7 +42,7 @@ def _full_sector_correlators(L):
 
 def _k_pi_hamiltonian(L, dtype=np.float64):
     sector = spin_sector(L)
-    leaders, orbit, phase = _orbits(sector)
+    leaders, orbit, phase = _orbits(sector, 1)
     a, b, d = _momentum_hamiltonian(sector, leaders, orbit, phase)
     return (a, b, d.astype(dtype)), len(leaders)
 
@@ -95,7 +101,7 @@ def test_lanczos_ends_on_krylov_exhaustion(L):
 
 def test_lanczos_raises_when_the_budget_runs_out(monkeypatch):
     monkeypatch.setattr(ed, "_LANCZOS_STEPS", 8)
-    _momentum_ground_state.cache_clear()
+    _momentum_level.cache_clear()
     with pytest.raises(ArithmeticError, match="8 steps"):
         ed_ground_state(14)
     H, dim = _k_pi_hamiltonian(14)
@@ -129,7 +135,7 @@ def test_k_pi_route_matches_full_sector(L):
 def test_k_pi_state_is_antisymmetric_under_translation(L):
     sector = spin_sector(L)
     shifted = sector.index(_translate(sector.basis, L))
-    _, psi, psi_ld = _momentum_ground_state(L)
+    _, psi, psi_ld = _momentum_level(L)
     assert np.array_equal(psi[shifted], -psi)
     assert np.array_equal(psi_ld[shifted], -psi_ld)
     assert np.array_equal(psi, psi_ld.astype(np.float64))
@@ -140,7 +146,7 @@ def test_k_pi_state_is_an_eigenvector_in_longdouble():
     # the expansion commutes with H and keeps norms, so the full-sector
     # residual of the expanded state is the polished k = pi residual
     L = 18
-    _, _, psi = _momentum_ground_state(L)
+    _, _, psi = _momentum_level(L)
     H = sector_hamiltonian(L).astype(np.longdouble)
     h_psi = H @ psi
     # np.sum sums pairwise; numpy's longdouble dot sums in sequence, which
@@ -179,7 +185,7 @@ def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
         for name, obj in list(vars(module).items()):
             if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
                 monkeypatch.setattr(module, name, refuse)
-    for cache in (spin_sector, _momentum_ground_state):
+    for cache in (spin_sector, _momentum_level):
         cache.cache_clear()
     L = 14
     energy, _ = ed_ground_state(L)
@@ -211,9 +217,9 @@ def test_even_m_solve_and_gap_are_reproducible():
     # may differ between equal arrays, so tobytes() can differ too
     runs = []
     for _ in range(30):
-        _momentum_ground_state.cache_clear()
+        _momentum_level.cache_clear()
         energy, psi = ed_ground_state(8)
-        runs.append((energy, ed_spectral_gap(8), psi, _momentum_ground_state(8)[2]))
+        runs.append((energy, ed_spectral_gap(8), psi, _momentum_level(8)[2]))
     energy, gap, psi, psi_ld = runs[0]
     for run in runs[1:]:
         assert run[:2] == (energy, gap)
@@ -222,7 +228,7 @@ def test_even_m_solve_and_gap_are_reproducible():
 
 def test_k_pi_solve_reproducible():
     a, psi_a = ed_ground_state(14)
-    _momentum_ground_state.cache_clear()  # force a genuine re-solve, not a cache hit
+    _momentum_level.cache_clear()  # force a genuine re-solve, not a cache hit
     b, psi_b = ed_ground_state(14)
     assert psi_a is not psi_b
     assert abs(a - b) <= 1e-14
@@ -239,15 +245,34 @@ def test_k_pi_solve_calls_no_dense_eigh(monkeypatch):
         raise AssertionError("np.linalg.eigh was called")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    _momentum_ground_state.cache_clear()
+    _momentum_level.cache_clear()
     assert abs(ed_ground_state(L)[0] - energy) <= 1e-14
 
 
-@pytest.mark.parametrize("cache, call", [(spin_sector, spin_sector), (_momentum_ground_state, ed_ground_state)])
+@pytest.mark.parametrize("cache, call", [
+    (spin_sector, spin_sector), (_momentum_level, ed_ground_state), (_momentum_level, ed_spectral_gap)])
 def test_numpy_integer_length_hits_the_cache(cache, call):
-    # the key is the checked Python int, so a numpy integer reads L = 10's entry
+    # the key is the checked Python int, so a numpy integer reads L = 10's
+    # entries: one, or both momentum sectors' for the gap
+    entries = 2 if call is ed_spectral_gap else 1
     cache.cache_clear()
     call(10)
     call(np.int64(10))
     info = cache.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (entries, entries)
+
+
+def test_gap_reuses_the_ground_state_solve(monkeypatch):
+    # after the ground state, the gap solves only the other sector: one
+    # float64 and one longdouble Lanczos run
+    _momentum_level.cache_clear()
+    ed_ground_state(10)
+    runs = []
+
+    def counted(*args):
+        runs.append(args[1].dtype)
+        return _lanczos(*args)
+
+    monkeypatch.setattr(ed, "_lanczos", counted)
+    ed_spectral_gap(10)
+    assert runs == [np.float64, np.longdouble]

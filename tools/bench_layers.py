@@ -96,24 +96,22 @@ def _sweep_ref(L, x_max: int) -> list:
 
 
 def _ed(stage: int):
-    """``prepare`` of stage 0 (basis and orbits), 1 (k = pi Hamiltonian) or 2 (the one
-    Lanczos, run in float64 and then in longdouble) of the ED solve.  Its output is checked by running the
-    later stages untimed: the ground energy, 2 L G(1), against the reference.  The Hamiltonian is one
-    hop triplet ``(a, b, d)``."""
+    """``prepare`` of stage 0 (basis and orbits), 1 (the ground state's momentum-sector
+    Hamiltonian) or 2 (``_lowest_level``: the one Lanczos, run in float64 and then in longdouble) of
+    the ED solve.  Its output is checked by running the later stages untimed: the ground energy,
+    2 L G(1), against the reference.  The Hamiltonian is one hop triplet ``(a, b, d)``."""
 
     def prepare(xx, L):
         def basis():
             xx.ed.spin_sector.cache_clear()
             sector = xx.ed.spin_sector(L)
-            return (sector, *xx.ed._orbits(sector))
+            return (sector, *xx.ed._orbits(sector, L // 2 % 2))  # the ground state's k, in units of pi
 
         def hamiltonian(sector, leaders, orbit, phase):
-            return xx.ed._momentum_hamiltonian(sector, leaders, orbit, phase), len(leaders)
+            return (xx.ed._momentum_hamiltonian(sector, leaders, orbit, phase),)
 
-        def eigensolver(H, dim):
-            H64 = (H[0], H[1], H[2].astype(np.float64))
-            v = xx.ed._lanczos(H64, xx.ed._start_vector(dim), xx.ed._LANCZOS_STEPS)[1]
-            return [float(xx.ed._lanczos(H, v.astype(np.longdouble), xx.ed._POLISH_STEPS)[0])]
+        def eigensolver(H):
+            return [float(xx.ed._lowest_level(H)[0])]
 
         stages = (basis, hamiltonian, eigensolver)
         given = ()
