@@ -84,7 +84,10 @@ def luttinger_from_lambda(lam: float) -> LuttingerParams:
 
 
 def finite_size_energy(dn: int, dq: int, params: LuttingerParams, L: int) -> float:
-    """Zero-mode energy shift (pi/2L) u [ xi dN^2 + (1/xi) dQ^2 ]."""
+    """Zero-mode energy shift (pi/2L) u [ xi dN^2 + (1/xi) dQ^2 ], at velocity u.
+
+    H = 1/2 sum (sx sx + sy sy) is in Pauli matrices, so v = 2: its M +- 1 gap is twice the value at u = 1.
+    """
     L = check_int("L", L, 1)
     return (math.pi / (2.0 * L)) * params.u * (params.xi * dn * dn + dq * dq / params.xi)
 

@@ -291,12 +291,12 @@ def main(argv=None) -> int:
     # usage errors name the subcommand, as argparse's own do
     parser = args.subparser
     if args.out is not None:
-        # an existing target (such as /dev/null) is judged by itself, a new one by its directory
+        # an existing target (such as /dev/null) is judged by itself, a new non-empty one by its directory
         if os.path.exists(args.out):
             writable = not os.path.isdir(args.out) and os.access(args.out, os.W_OK)
         else:
             folder = os.path.dirname(args.out) or "."
-            writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+            writable = args.out != "" and os.path.isdir(folder) and os.access(folder, os.W_OK)
         if not writable:
             parser.error(f"--out {args.out!r} is not a writable file path")
     try:

@@ -14,14 +14,14 @@ with the +1 hop, and at k = 0 for M even; the spectral gap is the other
 sector's lowest energy less the ground energy.  One cached solve per (L, k)
 serves the ground state, the pair pass and the gap.  Each sector's H is one
 hop triplet, solved by one small numpy Lanczos loop in float64 from a fixed
-start vector, then for a few steps in ``np.longdouble``, and its longdouble
-vector is expanded to full-sector amplitudes, exactly antisymmetric
-(k = pi) or symmetric (k = 0) under translation.  Each step
-takes the lowest Ritz pair of the tridiagonal matrix from ``eigvalsh`` and
-an O(m) inverse iteration, on one thread: a dense ``eigh`` would call
-``dgemm`` and leave BLAS threads spinning.  The module needs numpy alone;
-the tests keep ARPACK (``eigsh``) on an independently built sparse matrix
-as its oracle.
+start vector, then for a few steps in ``np.longdouble``.  Its longdouble
+vector, expanded to full-sector amplitudes exactly antisymmetric (k = pi) or
+symmetric (k = 0) under translation, is the one cached copy of the state;
+``ed_ground_state`` rounds it to float64 on demand.  Each Lanczos step
+takes the lowest Ritz pair of the tridiagonal matrix from ``eigvalsh`` and an
+O(m) inverse iteration, on one thread: a dense ``eigh`` would call ``dgemm``
+and leave BLAS threads spinning.  The module needs numpy alone; the tests
+keep ARPACK (``eigsh``) on an independently built sparse matrix as its oracle.
 """
 
 from __future__ import annotations
@@ -88,13 +88,14 @@ def _cached_per_length(build):
     """One cache entry per L and further arguments, L checked by :func:`_check_length` first.
 
     A cache keyed on the raw argument would hand ``18.0`` the entry of L = 18,
-    and ``True`` to the build, unchecked.
+    and ``True`` to the build, unchecked.  Later arguments are positional-only, defaults filled in.
     """
     cached = functools.lru_cache(maxsize=None)(build)
+    defaults = build.__defaults__ or ()
 
     @functools.wraps(build)
-    def call(L: int, *args):
-        return cached(_check_length(L), *args)
+    def call(L: int, /, *args):
+        return cached(_check_length(L), *args, *defaults[len(args):])
 
     call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
     return call
@@ -270,34 +271,32 @@ def _lowest_level(H: tuple) -> tuple:
 
 
 @_cached_per_length
-def _momentum_level(L: int, other: bool = False):
+def _momentum_level(L: int, other: bool = False, /):
     """Lowest level of momentum k = (M + other) mod 2 (units of pi), expanded to the full sector.
 
-    ``other`` false gives the ground state's sector.  Returns ``(energy, psi, psi_ld)``: the
-    longdouble energy and psi in float64 and longdouble, ordered like ``spin_sector(L).basis``.
+    ``other`` false gives the ground state's sector.  Returns ``(energy, psi)`` in longdouble,
+    psi read-only, ordered like ``spin_sector(L).basis`` and the one cached copy of the state.
     """
     sector = spin_sector(L)
     leaders, orbit, phase = _orbits(sector, (sector.M + other) % 2)
     energy, c = _lowest_level(_momentum_hamiltonian(sector, leaders, orbit, phase))
     c /= np.sqrt(c @ c)
     c /= np.sqrt(np.bincount(orbit).astype(np.longdouble))
-    psi_ld = c[orbit]
-    psi_ld *= phase
-    psi = psi_ld.astype(np.float64)
-    for arr in (psi, psi_ld):
-        arr.setflags(write=False)
-    return energy, psi, psi_ld
+    psi = c[orbit]
+    psi *= phase
+    psi.setflags(write=False)
+    return energy, psi
 
 
 def ed_ground_state(L: int) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of the ring Hamiltonian in the M = L/2 sector, from :func:`_momentum_level`.
 
-    Returns ``(energy, amplitudes)`` with the amplitude vector normalized and
-    ordered like ``spin_sector(L).basis``.  Against a full-sector ``eigsh``
-    the energy and every G(x) agree to 1e-14 at L <= 18.
+    Returns ``(energy, amplitudes)``, the amplitudes normalized, ordered like
+    ``spin_sector(L).basis`` and rounded afresh from the cached longdouble state.
+    Against a full-sector ``eigsh`` the energy and every G(x) agree to 1e-14 at L <= 18.
     """
-    energy, psi, _ = _momentum_level(L)
-    return float(energy), psi
+    energy, psi = _momentum_level(L)
+    return float(energy), psi.astype(np.float64)
 
 
 def ed_spectral_gap(L: int) -> float:
@@ -339,32 +338,22 @@ def ed_correlator_by_site(L: int, x: int) -> np.ndarray:
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
 
-def _pair_pass(sector: SpinSector, distances) -> np.ndarray:
-    """G(x) for each x in ``distances``, each independent of the others, summed in longdouble.
-
-    The ground state is exactly symmetric (k = 0) or antisymmetric (k = pi)
-    under translation, so site 0 alone is read, with the longdouble amplitudes.
-    """
-    ed_ground_state(sector.L)  # the solve, under its public name
-    psi = _momentum_level(sector.L)[2]  # cached by the solve
-    return _pair_values(sector, psi, 0, distances).astype(np.float64)
-
-
 def ed_correlator(L: int, x: int) -> float:
     """G(x) = <sigma^+_{i+x} sigma^-_i>, the cell x of :func:`ed_correlator_sweep` bit for bit."""
     sector = spin_sector(L)
     x = check_int("x", x, 1, sector.L - 1)
-    return float(_pair_pass(sector, (x,))[0])
+    return float(_pair_values(sector, _momentum_level(L)[1], 0, (x,))[0])
 
 
 def ed_correlator_sweep(L: int, x_max: int) -> np.ndarray:
-    """G(x) for x = 1..x_max from one longdouble pair pass.
+    """G(x) for x = 1..x_max, each x independent, from one pair pass over the cached longdouble state.
 
-    Max relerr against the mpmath sine product: 5.6e-17, 8.6e-17 and
-    7.7e-17 at L = 10, 14 and 18, where the full-sector state summed in
-    double over every site gave 6.9e-16, 4.9e-16 and 1.15e-15.  The float64
-    oracle is the mean of :func:`ed_correlator_by_site`.
+    The state is exactly symmetric (k = 0) or antisymmetric (k = pi) under
+    translation, so site 0 alone is read.  Max relerr against the mpmath sine
+    product: 5.6e-17, 8.6e-17 and 7.7e-17 at L = 10, 14 and 18, where the
+    full-sector state summed in double over every site gave 6.9e-16, 4.9e-16
+    and 1.15e-15.  The float64 oracle is the mean of :func:`ed_correlator_by_site`.
     """
     sector = spin_sector(L)
     x_max = check_int("x_max", x_max, 1, sector.L - 1)
-    return _pair_pass(sector, range(1, x_max + 1))
+    return _pair_values(sector, _momentum_level(L)[1], 0, range(1, x_max + 1)).astype(np.float64)

@@ -36,38 +36,43 @@ def rel(a: float, b: float) -> float:
     return 0.0 if scale == 0.0 else abs(a - b) / scale
 
 
-def momentum_filling_energy(L: int) -> float:
-    """Independent ground-energy oracle: fill the M = L/2 lowest of 2 cos(2 pi n / L).
+def momentum_filling_energy(L: int, M: int | None = None) -> float:
+    """Independent ground-energy oracle: fill the M lowest of 2 cos(2 pi n / L), M = L/2 by default.
 
     The Jordan-Wigner fermions are periodic for M odd and antiperiodic for
     M even, where n runs over the half-integers.
     """
-    shift = 0.5 if L // 2 % 2 == 0 else 0
+    M = L // 2 if M is None else M
+    shift = 0.5 if M % 2 == 0 else 0
     levels = sorted(2.0 * math.cos(2.0 * math.pi * (n + shift) / L) for n in range(L))
-    return sum(levels[: L // 2])
+    return sum(levels[:M])
 
 
-def sector_hamiltonian(L: int):
-    """The ring Hamiltonian on ``spin_sector(L).basis`` as a scipy CSR matrix, M-even rings included.
+def sector_hamiltonian(L: int, M: int | None = None):
+    """The ring Hamiltonian on the M-up-spin states as a scipy CSR matrix, M-even rings included.
 
-    Hop amplitude +1 for each flippable bond, periodic closure included: one
-    bond at a time, with none of ``xxchain.ed``'s orbit and triplet code.
+    The default M = L/2 takes ``spin_sector(L).basis``; any other M lists its
+    states by popcount, ascending.  Hop amplitude +1 for each flippable bond,
+    periodic closure included: one bond at a time, with none of
+    ``xxchain.ed``'s orbit and triplet code.
     """
     import numpy as np
     import scipy.sparse  # here, not at the top: importing it takes ~0.3 s
 
     from xxchain import spin_sector
 
-    sector = spin_sector(L)
-    basis = sector.basis
+    if M is None:
+        basis = spin_sector(L).basis
+    else:
+        basis = np.array([s for s in range(1 << L) if bin(s).count("1") == M], dtype=np.int64)
     rows, cols = [], []
     for i in range(L):
         j = (i + 1) % L
         differ = ((basis >> i) & 1) != ((basis >> j) & 1)
-        rows.append(sector.index(basis[differ] ^ ((1 << i) | (1 << j))))
+        rows.append(np.searchsorted(basis, basis[differ] ^ ((1 << i) | (1 << j))))
         cols.append(np.nonzero(differ)[0])
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    dim = sector.dimension
+    dim = len(basis)
     return scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
 
 

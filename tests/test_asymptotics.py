@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from refs import C0, C0_OVER_SQRT_PI, rel
+from refs import C0, C0_OVER_SQRT_PI, momentum_filling_energy, rel, sector_hamiltonian
 from xxchain import (
     AsymptoticParams,
     DomainError,
@@ -62,6 +63,25 @@ def test_finite_size_energy_values():
     assert finite_size_energy(1, 0, p0, 64) == pytest.approx(PI / 128.0, rel=1e-15)
     p = luttinger_from_lambda(0.6)
     assert finite_size_energy(0, 2, p, 100) == pytest.approx(PI / 125.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("L", [6, 8, 10, 12])
+def test_filling_off_half_filling_matches_the_spin_sector(L):
+    # the M = L/2 +- 1 filling (periodic for M odd, antiperiodic for M even) against
+    # a dense diagonalization of the spin sector, with no fermions: within 1.2e-14
+    for M in (L // 2 - 1, L // 2 + 1):
+        lowest = np.linalg.eigvalsh(sector_hamiltonian(L, M).toarray())[0]
+        assert abs(lowest - momentum_filling_energy(L, M)) <= 3e-14
+
+
+@pytest.mark.parametrize("L", [6, 10, 14, 18, 102])
+def test_finite_size_energy_units(L):
+    # H is in Pauli matrices, so v = 2: the M +- 1 gap is twice the value at u = 1,
+    # up to (pi^2/6) / L^2 relative; L^4 times the remainder reads 1.62-1.67 (pi^4/60)
+    unit = finite_size_energy(1, 0, luttinger_from_lambda(0.0), L)
+    for M in (L // 2 - 1, L // 2 + 1):
+        gap = momentum_filling_energy(L, M) - momentum_filling_energy(L)
+        assert abs((gap / unit - 2) * L**2 - PI**2 / 6) <= 2 / L**2
 
 
 def test_finite_size_energy_symmetry():

@@ -170,6 +170,7 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     (["finite-size", "--L-list", "10", "--x-frac", "2"], "--x-frac must lie strictly inside (0, 1), got 2.0"),
     (["finite-size", "--L-list", "10", "--out", "."], "--out '.' is not a writable file path"),
     (["constants", "--n-fit", "1001"], "--n-fit must be even, got 1001"),
+    (["constants", "--out", ""], "--out '' is not a writable file path"),
 ])
 def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
     # a command's own checks speak as argparse's do: the subcommand's usage, then its prefix

@@ -115,9 +115,9 @@ def test_k_pi_solve_memory():
 def test_spectral_gap_memory():
     # traced peak of the gap in basis units, with the sector cached and the
     # solve cache cleared: two momentum-sector solves, one after the other,
-    # both cached with their expanded states, read 12.5 (10.5 when the gap
-    # kept the energies alone); the full-sector Lanczos with its
-    # 100 x 48,620 float64 block read 160.2
+    # both cached with their expanded longdouble states alone, read 11.5
+    # (12.5 with a float64 copy of each, 10.5 when the gap kept the energies
+    # alone); the full-sector Lanczos with its 100 x 48,620 float64 block read 160.2
     L = 18
     unit = 8 * math.comb(L, L // 2)
     spin_sector(L)

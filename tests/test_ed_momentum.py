@@ -3,8 +3,11 @@
 M-odd rings solve in k = pi.  The k = 0 solve of M-even rings is checked by
 ``test_even_m_rings_use_k_0`` and ``test_even_m_solve_and_gap_are_reproducible``;
 ``test_gap_reuses_the_ground_state_solve`` checks that the gap reads the
-ground state's cached solve.
+ground state's cached solve, and ``test_each_level_caches_one_longdouble_state``
+that the cache holds one copy of each state.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -135,18 +138,18 @@ def test_k_pi_route_matches_full_sector(L):
 def test_k_pi_state_is_antisymmetric_under_translation(L):
     sector = spin_sector(L)
     shifted = sector.index(_translate(sector.basis, L))
-    _, psi, psi_ld = _momentum_level(L)
+    _, psi_ld = _momentum_level(L)
+    psi = ed_ground_state(L)[1]
     assert np.array_equal(psi[shifted], -psi)
     assert np.array_equal(psi_ld[shifted], -psi_ld)
     assert np.array_equal(psi, psi_ld.astype(np.float64))
-    assert ed_ground_state(L)[1] is psi
 
 
 def test_k_pi_state_is_an_eigenvector_in_longdouble():
     # the expansion commutes with H and keeps norms, so the full-sector
     # residual of the expanded state is the polished k = pi residual
     L = 18
-    _, _, psi = _momentum_level(L)
+    _, psi = _momentum_level(L)
     H = sector_hamiltonian(L).astype(np.longdouble)
     h_psi = H @ psi
     # np.sum sums pairwise; numpy's longdouble dot sums in sequence, which
@@ -219,7 +222,7 @@ def test_even_m_solve_and_gap_are_reproducible():
     for _ in range(30):
         _momentum_level.cache_clear()
         energy, psi = ed_ground_state(8)
-        runs.append((energy, ed_spectral_gap(8), psi, _momentum_level(8)[2]))
+        runs.append((energy, ed_spectral_gap(8), psi, _momentum_level(8)[1]))
     energy, gap, psi, psi_ld = runs[0]
     for run in runs[1:]:
         assert run[:2] == (energy, gap)
@@ -276,3 +279,37 @@ def test_gap_reuses_the_ground_state_solve(monkeypatch):
     monkeypatch.setattr(ed, "_lanczos", counted)
     ed_spectral_gap(10)
     assert runs == [np.float64, np.longdouble]
+
+
+def test_cache_key_fills_in_the_default():
+    # the key is the checked L and every later argument, its default filled
+    # in; those arguments are positional-only, as the signature says
+    _momentum_level.cache_clear()
+    _momentum_level(10)
+    _momentum_level(10, False)
+    info = _momentum_level.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    other = inspect.signature(_momentum_level).parameters["other"]
+    assert other.kind is inspect.Parameter.POSITIONAL_ONLY and other.default is False
+    with pytest.raises(TypeError):
+        _momentum_level(10, other=True)
+
+
+def test_each_level_caches_one_longdouble_state():
+    # each level keeps its longdouble state alone; ed_ground_state hands out a
+    # new float64 rounding of it, which the caller may overwrite
+    L = 10
+    _momentum_level.cache_clear()
+    ed_spectral_gap(L)
+    for other in (False, True):
+        entry = _momentum_level(L, other)
+        assert len(entry) == 2
+        energy, psi = entry
+        assert isinstance(energy, np.longdouble)
+        assert psi.dtype == np.longdouble and psi.shape == (252,) and not psi.flags.writeable
+    state = ed_ground_state(L)[1]
+    assert state.dtype == np.float64
+    assert np.array_equal(state, _momentum_level(L)[1].astype(np.float64))
+    G = ed_correlator_sweep(L, L - 1)
+    state[:] = 0
+    assert np.array_equal(ed_correlator_sweep(L, L - 1), G)
