@@ -13,8 +13,9 @@ MAX_DET_SIZE = 4096
 # Largest ring length, distance and fit size the CLI accepts (finite-size
 # --L-list, correlator --x-max, constants --n-fit and --x-fit-max); the log
 # R_N tables they build grow linearly in it, in time and memory.  At the
-# guard, finite-size --L-list 9999998 takes 0.26 s and 144 MB max RSS (0.28 s
-# and 146 MB with --x-frac 0.9) on a 2-core Xeon VM, median of 5 runs.
+# guard, finite-size --L-list 9999998 takes 0.29-0.33 s and 144 MB max RSS
+# (0.31-0.37 s and 145 MB with --x-frac 0.9) on a 2-core Xeon VM: the median
+# of 5 runs of the console script, in each of four sets.
 MAX_RING_LENGTH = 10_000_000
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import xxchain
+from diff_outputs import GOLDEN, GOLDEN_DIR, STDERR
 from xxchain import amplitude, cli, ed, exact
 from xxchain.cli import _next_admissible, check_exact_agreement, main
 from xxchain.exact import MAX_RING_LENGTH, correlator_sweep
@@ -468,15 +470,18 @@ def test_product_last_cell_raises_no_warning(capsys):
         assert product == correlator_sweep(x_max, LatticeSpec(10)).tolist()
 
 
-def _fresh(probe, blas_threads=None):
-    """Run ``probe`` in a fresh interpreter on this ``src``, with OPENBLAS_NUM_THREADS set to
-    ``blas_threads`` or unset (importing ``xxchain.cli`` here has set it in this process)."""
+def _fresh(probe, blas_threads=None, argv=(), stdout=subprocess.PIPE, text=True):
+    """Run ``probe`` with ``argv`` in a fresh interpreter on this ``src``, with OPENBLAS_NUM_THREADS
+    set to ``blas_threads`` or unset (importing ``xxchain.cli`` here has set it in this process), and
+    with stdout block-buffered, as a shell pipe has it, even where the caller sets PYTHONUNBUFFERED."""
     src = os.path.dirname(os.path.dirname(xxchain.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     env.pop("OPENBLAS_NUM_THREADS", None)
+    env.pop("PYTHONUNBUFFERED", None)
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
-    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", probe, *argv], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          text=text)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -586,3 +591,78 @@ def test_det_and_product_columns_share_one_det_sweep(capsys, monkeypatch):
     assert det.tolist() == sweep(61, LatticeSpec(62)).tolist()
     assert product.tolist() == correlator_sweep(61, LatticeSpec(62)).tolist()
     assert table.rel_errs["det-product"][-1] <= 1e-15
+
+
+# the console script and bench/run.py run this; it ends the process with os._exit
+ENTRY = "from xxchain.cli import entry; entry()"
+# main() under the interpreter's normal exit, which entry() skips
+NORMAL_EXIT = "import sys; from xxchain.cli import main; sys.exit(main())"
+SWEEP = ["correlator", "--L", "10", "--x-max", "3", "--routes", "product"]
+
+
+def _raising(error):
+    """A probe's first lines: the product sweep raises ``error``."""
+    return f"from xxchain import errors, exact\ndef fail(*args):\n    raise {error}\nexact.correlator_sweep = fail\n"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_console_script_prints_each_golden(name):
+    done = _fresh(ENTRY, argv=GOLDEN[name], text=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN_DIR / name).read_bytes()
+    assert done.stderr.decode() == json.loads(STDERR.read_text())[name]
+
+
+@pytest.mark.parametrize("prelude, argv, code", [
+    ("", ["--version"], 0),
+    ("", ["--help"], 0),
+    ("", ["correlator", "--L", "7", "--x-max", "3"], 2),
+    (_raising("errors.DomainError('raised inside the sweep')"), SWEEP, 2),
+    (_raising("errors.SizeError('raised inside the sweep')"), SWEEP, 2),
+    ("from xxchain import exact\nsweep = exact.correlator_det_sweep\n"
+     "exact.correlator_det_sweep = lambda *args: sweep(*args) * (1 + 1e-6)\n",
+     ["correlator", "--L", "10", "--x-max", "3", "--routes", "det,product"], 1),
+    (_raising("SystemExit('a code that is not an int')"), SWEEP, 1),
+], ids=["version", "help", "usage-error", "domain-error", "size-error", "routes-disagree", "str-exit"])
+def test_console_script_exits_as_main_does(prelude, argv, code):
+    fast, normal = (_fresh(prelude + probe, argv=argv, text=False) for probe in (ENTRY, NORMAL_EXIT))
+    assert fast.returncode == normal.returncode == code
+    assert (fast.stdout, fast.stderr) == (normal.stdout, normal.stderr)
+
+
+def test_console_script_leaves_other_exceptions_to_the_interpreter():
+    fast, normal = (_fresh(_raising("RuntimeError('raised inside the sweep')") + probe, argv=SWEEP)
+                    for probe in (ENTRY, NORMAL_EXIT))
+    assert fast.returncode == normal.returncode == 1
+    assert fast.stdout == normal.stdout == ""
+    for done in (fast, normal):
+        assert done.stderr.startswith("Traceback (most recent call last):\n")
+        assert done.stderr.endswith("\nRuntimeError: raised inside the sweep\n")
+    assert ", in entry\n" in fast.stderr
+
+
+def test_console_script_leaves_a_failed_flush_to_the_interpreter():
+    # a pipe whose reader has gone: the flush raises, and the interpreter reports it and exits 120
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        fast, normal = (_fresh(probe, argv=["--version"], stdout=writer) for probe in (ENTRY, NORMAL_EXIT))
+    finally:
+        os.close(writer)
+    assert fast.returncode == normal.returncode == 120
+    assert fast.stderr == normal.stderr
+    assert "BrokenPipeError" in fast.stderr
+
+
+def test_console_script_writes_the_wide_table_whole(capsys, tmp_path):
+    # 10^5 rows, 7.4 MB, to a pipe and to --out: the exit loses no byte of either (a write this
+    # large passes the stdout buffer; the goldens' tables are the ones that wait in it for the flush)
+    argv = ["correlator", "--L", "inf", "--x-max", "100000", "--routes", "product,asym"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    piped = _fresh(ENTRY, argv=argv, text=False)
+    written = _fresh(ENTRY, argv=[*argv, "--out", str(tmp_path / "wide.csv")], text=False)
+    assert (piped.returncode, written.returncode) == (0, 0)
+    digests = {hashlib.sha256(data).hexdigest() for data in (out.encode(), piped.stdout,
+                                                              (tmp_path / "wide.csv").read_bytes())}
+    assert len(digests) == 1
