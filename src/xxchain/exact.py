@@ -195,20 +195,21 @@ def r_det(N: int, lattice: LatticeSpec = INFINITE) -> float:
 
 
 def _sine_grid(m: int, L: int) -> np.ndarray:
-    """sin(2 pi k/L) for k = 1..m, m <= L/4, in np.longdouble from 4 ceil(sqrt(m)) sines.
+    """sin(2 pi k/L) for k = 1..m, m <= L/4, in np.longdouble by angle addition on a grid.
 
-    With b = ceil(sqrt(m)), k = b i + j for i in [0, b) and j in [1, b], and
-    angle addition over the b-by-b grid gives
+    The split is the ring's, whatever m is: b = ceil(sqrt(L//4)), L//4 capped at
+    MAX_RING_LENGTH so that a ring past 2^63 takes a small grid, k = b i + j for
+    i in [0, ceil(m/b)) and j in [1, b], and
 
         sin(2 pi k/L) = sin(2 pi b i/L) cos(2 pi j/L) + cos(2 pi b i/L) sin(2 pi j/L).
 
-    For every k <= m both angles lie in [0, pi/2], so both terms are >= 0 and
-    nothing cancels: the relative error against mpmath is at most 1.62 times
-    the longdouble epsilon, sampled at L = 6..669878, where one sinl per k
-    would cost m calls.
+    So each sine has one rounding per ring, and a shorter grid is a prefix of the
+    quarter-ring one: its relative error against mpmath, at most 1.62 times the
+    longdouble epsilon at m = L//4 for L = 6..669878, bounds every m too.  For
+    k <= m both angles lie in [0, pi/2], so both terms are >= 0 and nothing cancels.
     """
-    b = math.ceil(math.sqrt(m))
-    hi = 2 * _PI * (b * np.arange(b)) / L
+    b = math.ceil(math.sqrt(min(L // 4, MAX_RING_LENGTH)))
+    hi = 2 * _PI * (b * np.arange(-(-m // b))) / L
     lo = 2 * _PI * np.arange(1, b + 1) / L
     grid = np.outer(np.sin(hi), np.cos(lo))
     grid += np.outer(np.cos(hi), np.sin(lo))
@@ -256,7 +257,8 @@ def _log_factors(n: int, lattice: LatticeSpec) -> np.ndarray:
     lets one log1p carry the full relative accuracy, where the three-log form
     loses ~1e-8 absolute by N ~ 1e4; past q_k^2 = 2^-20 a short series takes
     the place of log1p (:func:`_neg_log1m`).  On a ring the sines come from
-    :func:`_sine_grid` for k <= L/4; past L/4 the factors fold exactly,
+    :func:`_sine_grid` for k <= L/4, so each f_k is a function of (L, k)
+    alone; past L/4 the factors fold exactly,
     f_k = f_{L/2-k} (sin(2 pi k/L) = sin(pi - 2 pi k/L), every even L), so no sine
     is taken past pi/2, where the rounded longdouble argument put sinl off by
     up to 1.1e4 ulp at L = 100002 (1.7e6 at L = 9999998), and a sweep past
@@ -323,40 +325,38 @@ def log_r_table(n_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     return out
 
 
+def _g_cells(r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """G(x) = (-1)^x/2 exp(r[x//2] + r[(x+1)//2]) for an int array x, r a :func:`log_r_table`.
+
+    The float64 exponent goes through libm's expl in np.longdouble and is
+    rounded once: correctly rounded in all 4,450 cells of the sweeps at L = inf
+    and 4002 (x <= 2000) and L = 1202 (x <= 450), where numpy's float64 exp,
+    which follows its SIMD dispatch, missed 201 of them at AVX-512.
+    """
+    g = np.exp((r[x // 2] + r[(x + 1) // 2]).astype(np.longdouble)).astype(np.float64)
+    return np.where(x % 2, -0.5, 0.5) * g
+
+
 def correlator_sweep(x_max: int, lattice: LatticeSpec = INFINITE) -> np.ndarray:
     """G(x) for x = 1..x_max from one :func:`log_r_table`, exponentiating once per x.
 
-    Even x = 2N gives +1/2 R_N^2, odd x = 2N+1 gives -1/2 R_N R_{N+1} with
-    the convention R_0 = 1 (forced by the x = 1 value): with r[i] = log
-    R_{i//2}, G(x) = (-1)^x/2 exp(r[x] + r[x+1]).  On a finite ring x = L-1
-    reads R_{L/2}, which is 1 by the ring Wallis identity; the table sums it like
-    any other entry.  G(L-1)/G(1) - 1 is 0 at L = 1202 and 4.4e-16 at L = 8194;
-    on larger rings it is the f_0 rounding of :func:`_log_factors`, as for
-    G(L-2)/G(2) - 1 (-1.4e-15 and -1.6e-15 at L = 100002).
-
-    The exponent is the float64 sum, cast to np.longdouble and taken by libm's
-    expl, then rounded once to float64: correctly rounded in all 4,450 cells
-    of the sweeps at L = inf and 4002 (x <= 2000) and L = 1202 (x <= 450).
-    numpy's float64 exp follows its SIMD dispatch, so an ulp of the column
-    moved with the CPU, and at AVX-512 it missed in 201 of those cells.
+    Even x = 2N gives +1/2 R_N^2, odd x = 2N+1 gives -1/2 R_N R_{N+1}, R_0 = 1
+    (:func:`_g_cells`); each cell is a function of (lattice, x) alone, whatever
+    x_max is.  On a ring x = L-1 reads R_{L/2}, 1 by the ring Wallis identity,
+    which the table sums like any other entry: G(L-1)/G(1) - 1 is 0 at L = 1202
+    and 4.4e-16 at L = 8194, and on larger rings the f_0 rounding of
+    :func:`_log_factors`, as for G(L-2)/G(2) - 1 (-1.6e-15 at L = 100002).
     """
     x_max = _check_distance(x_max, lattice)
-    r = np.repeat(log_r_table((x_max + 1) // 2, lattice), 2)
-    g = np.exp((r[1:x_max + 1] + r[2:x_max + 2]).astype(np.longdouble)).astype(np.float64)
-    g[0::2] *= -0.5
-    g[1::2] *= 0.5
-    return g
+    return _g_cells(log_r_table((x_max + 1) // 2, lattice), np.arange(1, x_max + 1))
 
 
 def correlator(x: int, lattice: LatticeSpec = INFINITE) -> CorrelatorSample:
     """G(x) from two entries of one :func:`log_r_table`, for every 1 <= x <= L-1.
 
-    With r = log_r_table((x+1)//2), G(x) = (-1)^x/2 exp(r[x//2] + r[(x+1)//2]):
-    the arithmetic of the last entry of :func:`correlator_sweep`, the exp taken
-    in np.longdouble too, which it matches bit for bit, without the sweep's
-    other 2N cells.
+    :func:`_g_cells` on a table to (x+1)//2: bit for bit the cell x of every
+    :func:`correlator_sweep` to x_max >= x, without the sweep's other cells.
     """
     x = _check_distance(x, lattice)
-    r = log_r_table((x + 1) // 2, lattice)
-    value = float(np.exp(np.longdouble(r[x // 2] + r[(x + 1) // 2]))) * (-0.5 if x % 2 else 0.5)
-    return CorrelatorSample(x=x, value=value, route=Route.PRODUCT)
+    value = _g_cells(log_r_table((x + 1) // 2, lattice), np.array([x]))[0]
+    return CorrelatorSample(x=x, value=float(value), route=Route.PRODUCT)

@@ -1,5 +1,8 @@
 """Smoke test of tools/bench_layers.py: every layer at its smallest size, in process."""
 
+import json
+import sys
+
 import bench_layers
 import xxchain
 
@@ -38,3 +41,18 @@ def test_pairs_compare_only_keys_every_run_has():
     assert list(got["metrics"]) == ["t"]
     assert got["metrics"]["t"]["ratios"] == [2.0, 2.0, 2.0]
     assert len(got["runs"]["parent"]) == len(got["runs"]["change"]) == 3
+
+
+def test_main_records_the_out_name_and_the_bytecode_state(monkeypatch, tmp_path):
+    # no layer, command or seed: main writes the header alone; an absolute OUT path would go into a
+    # committed BENCH file
+    monkeypatch.setattr(bench_layers, "LAYERS", {})
+    monkeypatch.setattr(bench_layers, "cli_commands", dict)
+    (tmp_path / "parent" / "xxchain" / "__pycache__").mkdir(parents=True)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_layers.main(str(out), str(tmp_path / "parent"), []) == 0
+    doc = json.loads(out.read_text())
+    assert doc["command"] == "PYTHONPATH=src python tools/bench_layers.py BENCH_0.json PARENT_SRC"
+    assert doc["env"]["dont_write_bytecode"] == sys.flags.dont_write_bytecode
+    change = (bench_layers.ROOT / "src" / "xxchain" / "__pycache__").is_dir()
+    assert doc["env"]["pycache"] == {"parent": True, "change": change}

@@ -451,6 +451,17 @@ def test_finite_size_last_cell_past_det_guard_is_the_product(capsys, monkeypatch
     assert doc["rows"][1]["exact"] == correlator_sweep(10001, LatticeSpec(10002))[-1]
 
 
+def test_finite_size_exact_cell_is_the_correlator_cell(capsys):
+    # x = round(0.2134 * 4002) = 854, one of the cells a shorter table used to round differently
+    code, out, _ = run(["finite-size", "--L-list", "4002", "--x-frac", "0.2134"], capsys)
+    assert code == 0
+    header, row = out.splitlines()
+    exact_cell = row.split(",")[header.split(",").index("exact")]
+    code, out, _ = run(["correlator", "--L", "4002", "--x-max", "4001", "--routes", "product"], capsys)
+    assert code == 0
+    assert float(exact_cell) == comparison_from_csv(out).values[0][853]
+
+
 def test_finite_size_last_cell_below_det_guard_runs(capsys):
     code, out, _ = run(["finite-size", "--L-list", "102", "--x-frac", "0.99999", "--format", "json"], capsys)
     assert code == 0
@@ -666,3 +677,18 @@ def test_console_script_writes_the_wide_table_whole(capsys, tmp_path):
     digests = {hashlib.sha256(data).hexdigest() for data in (out.encode(), piped.stdout,
                                                               (tmp_path / "wide.csv").read_bytes())}
     assert len(digests) == 1
+
+
+def test_unbuffered_stdout_cut_pipe_exits_1():
+    # under PYTHONUNBUFFERED a partial write to the pipe used to lose its tail silently: exit 0 and
+    # a cut table; the reader closes mid-write, since 5,000 rows overrun the 64 KiB pipe buffer
+    src = os.path.dirname(os.path.dirname(xxchain.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1")
+    argv = ["correlator", "--L", "inf", "--x-max", "5000", "--routes", "product,asym"]
+    with subprocess.Popen([sys.executable, "-c", ENTRY, *argv], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 1
+    assert "BrokenPipeError" in err

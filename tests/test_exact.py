@@ -18,6 +18,7 @@ from xxchain import (
     r_value,
 )
 from xxchain import exact
+from xxchain.ed import ed_correlator_sweep
 from xxchain.exact import MAX_DET_SIZE, _wick_kernel, correlator_det_sweep, correlator_sweep
 from xxchain.greens import g0
 
@@ -226,6 +227,15 @@ def test_sine_grid_within_two_ulp(L):
 def test_sine_grid_small_sizes():
     for m in range(4):
         assert exact._sine_grid(m, 14).shape == (m,)
+
+
+@pytest.mark.parametrize("L", [6, 14, 1110, 1250, 4002, 2**63 + 2])
+def test_sine_grid_split_is_the_rings(L):
+    # a shorter grid is a prefix of the quarter-ring one, bit for bit: the split reads L, not m
+    # (a ring past 2^63 is checked to m = 300, its grid's b being capped)
+    full = exact._sine_grid(min(L // 4, 300), L)
+    for m in sorted({*range(min(len(full), 40)), *np.linspace(0, len(full), 25, dtype=int)}):
+        assert np.array_equal(exact._sine_grid(m, L), full[:m]), m
 
 
 @pytest.mark.parametrize("L", [6, 10, 14, 62, 1202, 10002])
@@ -449,3 +459,37 @@ def test_series_step_against_mpmath():
                 for q, o in zip(q2, out)]
     assert max(errs[:split]) <= 1.0  # log1p: 0.64 measured
     assert max(errs[split:]) <= 0.51  # series: the one longdouble addition, 0.50 measured
+
+
+def _sweep(route, L, x_max):
+    if route == "ed":
+        return ed_correlator_sweep(L, x_max)
+    sweep = correlator_det_sweep if route == "det" else correlator_sweep
+    return sweep(x_max, INFINITE if L is None else LatticeSpec.finite(L))
+
+
+@pytest.mark.parametrize("route, L", [
+    ("det", None), ("det", 1202), ("det", 4002),
+    ("product", None), ("product", 1110), ("product", 1250), ("product", 1290),
+    ("product", 4002), ("product", 10002),
+    ("ed", 10), ("ed", 14), ("ed", 18),
+])
+def test_sweeps_are_prefix_stable(route, L):
+    # a cell is a function of (lattice, x) alone, whatever x_max the sweep runs to; before the sine
+    # grid's split was the ring's, a product sweep to x_max < L/2 moved cells: x = 853-855 on
+    # L = 4002, and in the sweep to 450, x = 357, 358 on L = 1110, 142 on 1250 and 159, 160 on 1290
+    x_full = min(4001 if L is None else L - 1, MAX_DET_SIZE)
+    full = _sweep(route, L, x_full)
+    xs = {1, 2, 3, 142, 159, 160, 357, 358, 450, 853, 854, 855, 999, 2042, 3656}
+    xs |= {x_full // 4, x_full // 4 + 1, x_full // 2, x_full // 2 + 1, x_full - 1}
+    for x in sorted(x for x in xs if x < x_full):
+        assert np.array_equal(_sweep(route, L, x), full[:x]), x
+
+
+@pytest.mark.parametrize("L", [4002, 10002])
+def test_correlator_is_every_cell_of_the_full_sweep(L):
+    # each correlator builds its own shorter table; it used to differ at x = 853-855 on L = 4002
+    # and at x = 2042 and 3656 on L = 10002
+    lat = LatticeSpec.finite(L)
+    full = correlator_sweep(L - 1, lat)
+    assert [x for x in range(1, L) if correlator(x, lat).value != full[x - 1]] == []

@@ -7,6 +7,10 @@ Usage::
 PARENT_SRC is the ``src`` directory of the commit to compare against, for
 example from ``git archive``.  OUT.json holds:
 
+* ``command``, with OUT.json by its file name alone, and ``env``: the
+  versions, the CPU, the long double, ``sys.flags.dont_write_bytecode`` and
+  per side whether ``xxchain/__pycache__`` existed at the start (``pycache``).
+  Without bytecode each CLI sample compiles the modules it imports afresh.
 * ``layers``: per entry of :data:`LAYERS`, size and side, the median
   in-process time (``median_s``) and process CPU of every thread
   (``cpu_median_s``) per call, the CPU the process burns in a sleep after the
@@ -362,6 +366,8 @@ def end_to_end(parent_root: Path, seeds: list[int]) -> dict:
 
 def main(out: str, parent_src: str, seeds: list[int]) -> int:
     srcs = {"parent": Path(parent_src).resolve(), "change": ROOT / "src"}
+    # read before any side runs: without bytecode every CLI sample compiles the package afresh
+    pycache = {s: (srcs[s] / "xxchain" / "__pycache__").is_dir() for s in SIDES}
     cli = {name: {"args": args, "xxchain_modules": {s: xxchain_modules(srcs[s], args) for s in SIDES},
                   **pairs(name, lambda s, i: run_cli(srcs[s], args), CLI_PAIRS, ("wall_s", "cpu_s", "peak_rss_mb"))}
            for name, args in cli_commands().items()}
@@ -375,14 +381,15 @@ def main(out: str, parent_src: str, seeds: list[int]) -> int:
     with open("/proc/cpuinfo") as fh:
         cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), "")
     doc = {
-        "command": f"PYTHONPATH=src python tools/bench_layers.py {out} PARENT_SRC"
+        "command": f"PYTHONPATH=src python tools/bench_layers.py {Path(out).name} PARENT_SRC"
                    + "".join(f" {s}" for s in seeds),
         "what": "per layer and size, both sides' median time and CPU per call, idle CPU after "
                 "the calls, tracemalloc peak and max relerr against bench/reference.py; layer, "
                 "CLI and bench/run.py runs in alternating pairs",
         "env": {"python": platform.python_version(), "numpy": np.__version__,
                 "mpmath": mp.__version__, "nproc": os.cpu_count(), "cpu": cpu,
-                "longdouble": f"{np.finfo(np.longdouble).nmant + 1}-bit mantissa"},
+                "longdouble": f"{np.finfo(np.longdouble).nmant + 1}-bit mantissa",
+                "dont_write_bytecode": sys.flags.dont_write_bytecode, "pycache": pycache},
         "layers": layers,
         "cli": cli,
     }
