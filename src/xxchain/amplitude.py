@@ -8,9 +8,12 @@ reached here four separate ways: the exact polygamma rewriting of ln R_N
 (:func:`log_r_series`), the integral representation (:func:`lukyanov_integral`),
 the gamma-function product (:func:`log_r_gamma_product`, equivalently the
 Barnes-G telescoping of :func:`log_r_barnes`), and a direct Richardson fit of
-the sine product itself.  From B the leading correlator amplitude follows as
-C0 = sqrt(pi) B^2 / sqrt(2), and an independent Glaisher-constant route pins
-the same number through zeta'(-1).
+the sine product itself, which is the product route's own table,
+:func:`xxchain.exact.log_r_table`.  From B the leading correlator amplitude
+follows as C0 = sqrt(pi) B^2 / sqrt(2), and an independent Glaisher-constant
+route pins the same number through zeta'(-1).  Two of the four ln B routes,
+the series and the gamma product, and the Glaisher route read one Bernoulli
+table, :func:`xxchain.special.bernoulli_rationals`.
 """
 
 from __future__ import annotations

@@ -331,7 +331,11 @@ def _pair_values(sector: SpinSector, psi: np.ndarray, lower_site: int, distances
 
 
 def ed_correlator_by_site(L: int, x: int) -> np.ndarray:
-    """Per-site <sigma^+_{i+x} sigma^-_i>, i = 0..L-1, of the float64 state: their mean is the oracle."""
+    """Per-site <sigma^+_{i+x} sigma^-_i>, i = 0..L-1, of the float64 state: their mean is the oracle.
+
+    It shares the solve and :func:`_pair_values` with :func:`ed_correlator_sweep`, so it checks
+    the sweep's reading of site 0 alone, in long double, not the state.
+    """
     sector = spin_sector(L)
     x = check_int("x", x, 1, sector.L - 1)
     _, psi = ed_ground_state(L)

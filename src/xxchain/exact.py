@@ -135,7 +135,9 @@ def correlator_det(x: int, lattice: LatticeSpec = INFINITE) -> float:
     (including the diagonal argument 0, where the density term cancels
     2 G0(0) = 1).  The overall factor (-1)^x / 2 converts the determinant
     over the plain sine kernel to the physical staggered correlator.  This
-    scalar form is the test oracle for :func:`correlator_det_sweep`.
+    scalar form is the test oracle for :func:`correlator_det_sweep`.  It builds
+    its matrix from the same :func:`_wick_kernel`, so it checks the Schur
+    algebra, not the kernel; the scalar :func:`xxchain.greens.g0` checks that.
     """
     x = _check_distance(x, lattice)
     _check_det_size(x)
@@ -297,6 +299,8 @@ def r_value(N: int, lattice: LatticeSpec = INFINITE) -> LogProduct:
     with sines replaced by their arguments in the thermodynamic limit.
     N = 1 is the empty product.  The terms (N-k) f_k are rounded to doubles and
     summed with math.fsum; this scalar form is the test oracle for :func:`log_r_table`.
+    It reads the same factors, :func:`_log_factors`, so it checks the summation,
+    not the factors.
     """
     N = _check_r_range(N, lattice)
     terms = (N - np.arange(N)) * _log_factors(N, lattice)

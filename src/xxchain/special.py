@@ -103,7 +103,9 @@ def polygamma(m: int, z: float) -> float:
 
     The upward recurrence hands over to the asymptotic series at ``_Z_CUT``;
     with the cut moved to 32 the value must agree to ~1e-12 relative, which
-    the test suite enforces as a self-check of both halves.
+    the test suite enforces as a self-check of both halves.  Where z^(m+1)
+    underflows to 0, m!/z^(m+1) and so psi^(m)(z) overflow: the result is
+    (-1)^(m+1) inf, as it is where that power is a subnormal.
     """
     m = check_int("m", m, 0, MAX_POLYGAMMA_ORDER)
     if not z > 0:
@@ -113,7 +115,10 @@ def polygamma(m: int, z: float) -> float:
     shift = 0.0
     zz = float(z)
     while zz < _Z_CUT:
-        shift += sign * fact_m / zz ** (m + 1)
+        power = zz ** (m + 1)
+        if power == 0.0:
+            return -sign * math.inf
+        shift += sign * fact_m / power
         zz += 1.0
     return _polygamma_asym(m, zz) - shift
 
@@ -125,9 +130,12 @@ def zeta_em(s: float) -> float:
     midpoint and up to ``_ZETA_TAIL_ORDERS`` Bernoulli tail corrections at
     the cut.  The absolute error is below 1e-15 throughout s >= 1.1; against
     mpmath at 40 digits it is at most 5.4e-16 for s = 1.1, 1.5, 2, 3, 5 and 21.
+    zeta(inf) = 1, taken before the tail, whose first term would be inf * 0.
     """
     if not s > 1:
         raise DomainError(f"require s > 1, got {s}")
+    if s == math.inf:
+        return 1.0
     B = bernoulli_numbers()
     N = _ZETA_CUT
     parts = [float(k) ** -s for k in range(1, N)]

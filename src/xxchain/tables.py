@@ -5,8 +5,9 @@ one float array per route in ``routes`` order, and one relative-error array
 per route pair ``a-b`` (``a`` before ``b`` in ``routes``), computed with one
 vectorised :func:`rel_err` per pair.  Every route fills every x.
 
-Numbers are always emitted with 17 significant digits so that a parsed
-table reproduces the original doubles bit for bit.  CSV uses LF endings,
+CSV prints every float with 17 significant digits (``.17g``), and JSON with
+``json.dumps``'s shortest repr that round-trips, so that either parsed table
+reproduces the original doubles bit for bit.  CSV uses LF endings,
 ``.`` as the decimal separator and the header layout
 
     x,route:<name>,...,relerr:<a>-<b>,...

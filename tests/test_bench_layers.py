@@ -1,9 +1,12 @@
 """Smoke test of tools/bench_layers.py: every layer at its smallest size, in process."""
 
 import json
+import os
+import subprocess
 import sys
 
 import bench_layers
+import diff_outputs
 import xxchain
 
 
@@ -54,5 +57,16 @@ def test_main_records_the_out_name_and_the_bytecode_state(monkeypatch, tmp_path)
     doc = json.loads(out.read_text())
     assert doc["command"] == "PYTHONPATH=src python tools/bench_layers.py BENCH_0.json PARENT_SRC"
     assert doc["env"]["dont_write_bytecode"] == sys.flags.dont_write_bytecode
+    assert doc["env"]["platform"] == json.loads(json.dumps(diff_outputs.platform()))
     change = (bench_layers.ROOT / "src" / "xxchain" / "__pycache__").is_dir()
     assert doc["env"]["pycache"] == {"parent": True, "change": change}
+
+
+def test_import_leaves_openblas_threads_alone():
+    # importing xxchain.cli sets OPENBLAS_NUM_THREADS=1, which the layer children would inherit: it
+    # would hide the BLAS threads left spinning that the ed.gap idle check looks for
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(str(bench_layers.ROOT / d) for d in ("src", "tools"))
+    code = "import os, bench_layers; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "None\n"

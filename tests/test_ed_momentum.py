@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from refs import eigsh_pair, momentum_filling_energy, rel, sector_hamiltonian
-from xxchain import ed_ground_state, ed_spectral_gap, exact, greens, spin_sector
+from xxchain import ed_ground_state, ed_spectral_gap, spin_sector
 from xxchain import ed
 from xxchain.ed import (
     _LANCZOS_STEPS,
@@ -24,7 +24,6 @@ from xxchain.ed import (
     _orbits,
     _pair_values,
     _start_vector,
-    ed_correlator_by_site,
     ed_correlator_sweep,
 )
 
@@ -178,24 +177,6 @@ def test_start_vector_overlaps_ground_state(L):
     assert abs(float(v0 @ psi)) / np.linalg.norm(v0) >= 1e-3
     # the uniform vector lies in k = 0, orthogonal to the k = pi ground state
     assert abs(float(psi.sum())) / np.sqrt(len(psi)) <= 1e-12
-
-
-def test_ed_runs_with_fermion_routes_disabled(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("ED called into a fermionic route")
-
-    for module in (exact, greens):
-        for name, obj in list(vars(module).items()):
-            if callable(obj) and getattr(obj, "__module__", None) == module.__name__:
-                monkeypatch.setattr(module, name, refuse)
-    for cache in (spin_sector, _momentum_level):
-        cache.cache_clear()
-    L = 14
-    energy, _ = ed_ground_state(L)
-    assert energy == pytest.approx(momentum_filling_energy(L), abs=1e-11)
-    assert ed_spectral_gap(L) > 1e-6
-    G = ed_correlator_sweep(L, L - 1)
-    assert rel(G[2], np.mean(ed_correlator_by_site(L, 3))) <= 1e-14
 
 
 @pytest.mark.parametrize("L", [8, 12, 16])

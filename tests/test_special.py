@@ -90,12 +90,20 @@ def test_polygamma_domain():
         polygamma(65, 1.0)
 
 
+@pytest.mark.parametrize("m, z, expected", [(1, 1e-200, math.inf), (2, 1e-110, -math.inf), (4, 1e-70, -math.inf)])
+def test_polygamma_overflows_where_the_power_underflows(m, z, expected):
+    # z^(m+1) underflows to 0.0 in each case; where it is subnormal instead, as in polygamma(1, 1e-160),
+    # m!/z^(m+1) overflows to the same inf
+    assert polygamma(m, z) == expected
+
+
 def test_zeta_em_reference_values():
     assert zeta_em(2.0) == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
     assert zeta_em(1.5) == pytest.approx(ZETA_3_HALVES, rel=1e-15)
     assert zeta_em(2.5) == pytest.approx(ZETA_5_HALVES, rel=1e-15)
     with pytest.raises(DomainError):
         zeta_em(1.0)
+    assert zeta_em(math.inf) == zeta_em(1e308) == 1.0
 
 
 def test_zeta_odd_values_and_monotonicity():

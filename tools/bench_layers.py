@@ -8,8 +8,10 @@ PARENT_SRC is the ``src`` directory of the commit to compare against, for
 example from ``git archive``.  OUT.json holds:
 
 * ``command``, with OUT.json by its file name alone, and ``env``: the
-  versions, the CPU, the long double, ``sys.flags.dont_write_bytecode`` and
-  per side whether ``xxchain/__pycache__`` existed at the start (``pycache``).
+  versions, the CPU, ``platform`` (``tools/diff_outputs.platform()``: the
+  long double, numpy, its enabled SIMD targets and OpenBLAS's kernel, as the
+  goldens' ``platform.json`` records them), ``sys.flags.dont_write_bytecode``
+  and per side whether ``xxchain/__pycache__`` existed at the start (``pycache``).
   Without bytecode each CLI sample compiles the modules it imports afresh.
 * ``layers``: per entry of :data:`LAYERS`, size and side, the median
   in-process time (``median_s``) and process CPU of every thread
@@ -59,6 +61,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
+import diff_outputs  # noqa: E402
 from reference import DPS, Reference, _g0_mp, _log_r_barnes, _log_r_recurrence, mp, relerr  # noqa: E402
 
 ENTRY = "from xxchain.cli import entry; entry()"
@@ -386,9 +389,8 @@ def main(out: str, parent_src: str, seeds: list[int]) -> int:
         "what": "per layer and size, both sides' median time and CPU per call, idle CPU after "
                 "the calls, tracemalloc peak and max relerr against bench/reference.py; layer, "
                 "CLI and bench/run.py runs in alternating pairs",
-        "env": {"python": platform.python_version(), "numpy": np.__version__,
-                "mpmath": mp.__version__, "nproc": os.cpu_count(), "cpu": cpu,
-                "longdouble": f"{np.finfo(np.longdouble).nmant + 1}-bit mantissa",
+        "env": {"python": platform.python_version(), "mpmath": mp.__version__, "nproc": os.cpu_count(),
+                "cpu": cpu, "platform": diff_outputs.platform(),
                 "dont_write_bytecode": sys.flags.dont_write_bytecode, "pycache": pycache},
         "layers": layers,
         "cli": cli,

@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from xxchain.cli import main as xxchain_main
 
 _umath = (getattr(np, "_core", None) or np.core)._multiarray_umath  # numpy 2 renamed core to _core
 
@@ -65,9 +64,13 @@ def platform() -> dict:
 
 def printed(argv: list[str]) -> tuple[str, str]:
     """What ``xxchain argv`` prints on stdout and stderr, run in this process; it must exit 0."""
+    # imported here, not with the module: xxchain.cli sets OPENBLAS_NUM_THREADS=1, and a process that
+    # imports this module for platform() alone, such as tools/bench_layers.py, passes it to its children
+    from xxchain.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = xxchain_main(argv)
+        code = main(argv)
     if code != 0:
         raise RuntimeError(f"xxchain {' '.join(argv)} exited {code}: {err.getvalue()}")
     return out.getvalue(), err.getvalue()
