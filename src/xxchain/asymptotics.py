@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, check_int
+from .errors import DomainError, check_int, check_ring_length
 
 __all__ = [
     "LuttingerParams",
@@ -93,8 +93,8 @@ def finite_size_energy(dn: int, dq: int, params: LuttingerParams, L: int) -> flo
 
 
 def asym_finite(x: int, L: int, params: AsymptoticParams) -> float:
-    """Finite-ring prediction C0 (-1)^x (L sin(pi x / L))^(-alpha)."""
-    L = check_int("L", L, 2)
+    """Finite-ring prediction C0 (-1)^x (L sin(pi x / L))^(-alpha), on a ring of the routes' rule: even L >= 6."""
+    L = check_ring_length(L)
     x = check_int("x", x, 1, L - 1)
     sign = 1.0 if x % 2 == 0 else -1.0
     return params.c0 * sign * (L * math.sin(math.pi * x / L)) ** (-params.alpha)

@@ -336,17 +336,18 @@ def ed_correlator_by_site(L: int, x: int) -> np.ndarray:
     It shares the solve and :func:`_pair_values` with :func:`ed_correlator_sweep`, so it checks
     the sweep's reading of site 0 alone, in long double, not the state.
     """
+    L = _check_length(L)
+    x = check_int("x", x, 1, L - 1)
     sector = spin_sector(L)
-    x = check_int("x", x, 1, sector.L - 1)
     _, psi = ed_ground_state(L)
     return np.concatenate([_pair_values(sector, psi, i, (x,)) for i in range(L)])
 
 
 def ed_correlator(L: int, x: int) -> float:
     """G(x) = <sigma^+_{i+x} sigma^-_i>, the cell x of :func:`ed_correlator_sweep` bit for bit."""
-    sector = spin_sector(L)
-    x = check_int("x", x, 1, sector.L - 1)
-    return float(_pair_values(sector, _momentum_level(L)[1], 0, (x,))[0])
+    L = _check_length(L)
+    x = check_int("x", x, 1, L - 1)
+    return float(_pair_values(spin_sector(L), _momentum_level(L)[1], 0, (x,))[0])
 
 
 def ed_correlator_sweep(L: int, x_max: int) -> np.ndarray:
@@ -358,6 +359,6 @@ def ed_correlator_sweep(L: int, x_max: int) -> np.ndarray:
     full-sector state summed in double over every site gave 6.9e-16, 4.9e-16
     and 1.15e-15.  The float64 oracle is the mean of :func:`ed_correlator_by_site`.
     """
-    sector = spin_sector(L)
-    x_max = check_int("x_max", x_max, 1, sector.L - 1)
-    return _pair_values(sector, _momentum_level(L)[1], 0, range(1, x_max + 1)).astype(np.float64)
+    L = _check_length(L)
+    x_max = check_int("x_max", x_max, 1, L - 1)
+    return _pair_values(spin_sector(L), _momentum_level(L)[1], 0, range(1, x_max + 1)).astype(np.float64)

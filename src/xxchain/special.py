@@ -54,12 +54,18 @@ def bernoulli_rationals(count: int = _N_BERNOULLI) -> tuple[tuple[int, int], ...
     return tuple(B[: count + 1])
 
 
-@functools.lru_cache(maxsize=1)
 def bernoulli_numbers(count: int = _N_BERNOULLI) -> tuple[float, ...]:
     """B_0 .. B_count, each the exact rational of :func:`bernoulli_rationals` rounded once to a double.
 
-    Python's int / int is correctly rounded.
+    Python's int / int is correctly rounded.  ``count`` is checked before the
+    cache: ``2.0`` is an equal key to a cached ``np.int64(2)``, and would skip
+    a check made inside it.
     """
+    return _rounded_bernoulli(check_int("count", count, 0))
+
+
+@functools.lru_cache(maxsize=1)
+def _rounded_bernoulli(count: int) -> tuple[float, ...]:
     return tuple(num / den for num, den in bernoulli_rationals(count))
 
 

@@ -5,11 +5,23 @@ arbitrary-precision tool and frozen here as double literals; closed forms
 (1/pi, 16/(3 pi^2), ...) are written out directly where a test needs them.
 The ED oracle lives here too: the sector Hamiltonian built bond by bond as a
 scipy sparse matrix, and its ARPACK ground state.  scipy is a test
-dependency only, imported on the oracle's first call.
+dependency only, imported on the oracle's first call.  The call recorder of
+the route-independence and guard maps lives here as well, with ``GUARDS``:
+the package's argument guards, which either map lets any call run.
 """
 
+import cProfile
 import functools
 import math
+import sys
+from pathlib import Path
+
+from xxchain import asymptotics, ed, errors, exact, greens
+
+GUARDS = {errors.check_int, errors.check_ring_length, greens.LatticeSpec.__post_init__,
+          greens.LatticeSpec.is_finite.fget, asymptotics.AsymptoticParams.__post_init__,
+          ed._check_length, ed._cached_per_length,  # and its wrapper
+          *(fn for name, fn in vars(exact).items() if name.startswith("_check_"))}
 
 EULER_GAMMA = 0.5772156649015328606
 ZETA_3 = 1.2020569031595942854
@@ -29,6 +41,30 @@ SUB_COEFF = -0.036772041512354863  # = -(1/8) C0/sqrt(pi)
 # six-digit values quoted for the two headline constants
 AMPLITUDE_HALF_PRINTED = 0.147088
 GLAISHER_A_PRINTED = 1.282427
+
+
+def code_of(functions) -> set:
+    """The code objects of ``functions`` and the code nested in them: lambdas, comprehensions, local helpers."""
+    codes, todo = set(), [getattr(fn, "__wrapped__", fn).__code__ for fn in functions]
+    while todo:
+        codes.add(code := todo.pop())
+        todo += [c for c in code.co_consts if isinstance(c, type(code))]
+    return codes
+
+
+def ran(call) -> frozenset:
+    """The package code objects that ``call()`` runs, from cold caches."""
+    for obj in [obj for name, m in sys.modules.items() if name.startswith("xxchain.") for obj in vars(m).values()]:
+        getattr(obj, "cache_clear", lambda: None)()
+    with cProfile.Profile() as profile:
+        call()
+    package = str(Path(exact.__file__).parent)
+    return frozenset(s.code for s in profile.getstats() if getattr(s.code, "co_filename", "").startswith(package))
+
+
+def names(codes) -> list[str]:
+    """``module.qualname`` of each code object, sorted: what a map's failure prints."""
+    return sorted(f"{Path(c.co_filename).stem}.{getattr(c, 'co_qualname', c.co_name)}" for c in codes)
 
 
 def rel(a: float, b: float) -> float:

@@ -10,11 +10,17 @@ import pytest
 
 import xxchain
 from diff_outputs import GOLDEN, GOLDEN_DIR, STDERR
-from xxchain import amplitude, cli, ed, exact
-from xxchain.cli import _next_admissible, check_exact_agreement, main
-from xxchain.exact import MAX_RING_LENGTH, correlator_sweep
+from refs import code_of, names, ran
+from xxchain import amplitude, cli, ed, errors, exact
+from xxchain.cli import check_exact_agreement, main
+from xxchain.exact import correlator_sweep
 from xxchain.greens import LatticeSpec
 from xxchain.tables import RouteComparison, comparison_from_csv
+
+# what a usage error may run: the command line's parse path, LatticeSpec and the guards in errors
+PARSE = code_of({cli.main, cli.build_parser, cli._parse_lattice, cli._next_admissible, cli.cmd_correlator,
+                 cli.cmd_constants, cli.cmd_finite_size, LatticeSpec.__post_init__, LatticeSpec.finite,
+                 LatticeSpec.is_finite.fget, errors.check_int, errors.check_ring_length})
 
 
 def run(argv, capsys):
@@ -162,6 +168,7 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     assert out == ""
 
 
+# the command line's guard map: argv, {tmp} a fresh empty directory, and the message after the command's prefix
 @pytest.mark.parametrize("argv, message", [
     (["correlator", "--L", "abc", "--x-max", "3"], "--L must be an integer or 'inf', got 'abc'"),
     (["correlator", "--L", "10", "--x-max", "3", "--routes", "det,det"], "duplicate route names"),
@@ -173,14 +180,49 @@ def test_domain_and_size_errors_exit_2(capsys, monkeypatch, error):
     (["finite-size", "--L-list", "10", "--out", "."], "--out '.' is not a writable file path"),
     (["constants", "--n-fit", "1001"], "--n-fit must be even, got 1001"),
     (["constants", "--out", ""], "--out '' is not a writable file path"),
+    (["correlator", "--L", "7", "--x-max", "3"], "invalid --L 7: L must be even and >= 6"),
+    (["correlator", "--L", "4", "--x-max", "3"], "invalid --L 4: L must be even and >= 6"),
+    (["correlator", "--L", "10", "--x-max", "abc"], "argument --x-max: invalid int value: 'abc'"),
+    (["correlator", "--L", "10", "--x-max", "3", "--routes", "magic"],
+     "unknown route 'magic'; choose from det,product,ed,asym"),
+    (["correlator", "--L", "10", "--x-max", "0"], "--x-max must lie in [1, L-1], got 0"),
+    (["correlator", "--L", "inf", "--x-max", "10000001", "--routes", "product,asym"],
+     "--x-max 10000001 exceeds the ring-length guard 10000000"),
+    (["correlator", "--L", "10000002", "--x-max", "10000001", "--routes", "product,asym"],
+     "--x-max 10000001 exceeds the ring-length guard 10000000"),
+    (["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"],
+     "--x-max 4097 exceeds the det route's guard 4096"),
+    (["correlator", "--L", "10", "--x-max", "9", "--out", "{tmp}/missing/t.csv"],
+     "--out '{tmp}/missing/t.csv' is not a writable file path"),
+    (["correlator", "--L", "10", "--x-max", "9", "--out", "{tmp}"], "--out '{tmp}' is not a writable file path"),
+    (["constants", "--x-fit-max", "10"], "--x-fit-max must be >= 1000, got 10"),
+    (["constants", "--n-fit", "10000001"], "--n-fit 10000001 exceeds the ring-length guard 10000000"),
+    (["constants", "--x-fit-max", "10000001"], "--x-fit-max 10000001 exceeds the ring-length guard 10000000"),
+    (["constants", "--out", "{tmp}/missing/t.csv"], "--out '{tmp}/missing/t.csv' is not a writable file path"),
+    (["constants", "--out", "{tmp}"], "--out '{tmp}' is not a writable file path"),
+    (["finite-size", "--L-list", "a,b"], "--L-list must be comma-separated integers, got 'a,b'"),
+    (["finite-size", "--L-list", "62,0,-3"], "--L-list entries must be >= 1, got -3"),
+    (["finite-size", "--L-list", "258,1000000000"], "--L-list entry 1000000000 exceeds the ring-length guard 10000000"),
+    (["finite-size", "--L-list", "258", "--x-frac", "0"], "--x-frac must lie strictly inside (0, 1), got 0.0"),
+    (["finite-size", "--L-list", "258", "--x-frac", "1"], "--x-frac must lie strictly inside (0, 1), got 1.0"),
+    (["finite-size", "--L-list", "258", "--x-frac", "1.5"], "--x-frac must lie strictly inside (0, 1), got 1.5"),
+    (["finite-size", "--L-list", "258", "--out", "{tmp}/missing/t.csv"],
+     "--out '{tmp}/missing/t.csv' is not a writable file path"),
+    (["finite-size", "--L-list", "258", "--out", "{tmp}"], "--out '{tmp}' is not a writable file path"),
 ])
-def test_usage_errors_exit_2_with_their_message(capsys, argv, message):
-    # a command's own checks speak as argparse's do: the subcommand's usage, then its prefix
-    code, out, err = run(argv, capsys)
+def test_usage_errors_exit_2_with_their_message(capsys, tmp_path, argv, message):
+    # a command's own checks speak as argparse's do: the subcommand's usage, then its prefix; and they run
+    # before any route code, from cold caches
+    argv, message = [arg.format(tmp=tmp_path) for arg in argv], message.format(tmp=tmp_path)
+    outcome = []
+    codes = ran(lambda: outcome.append(run(argv, capsys)))
+    code, out, err = outcome[0]
     assert code == 2
     assert f"usage: xxchain {argv[0]} [-h]" in err
     assert err.splitlines()[-1] == f"xxchain {argv[0]}: error: {message}"
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert names(codes - PARSE) == []
 
 
 def test_exact_agreement_gate_trips_on_non_finite_values():
@@ -188,23 +230,6 @@ def test_exact_agreement_gate_trips_on_non_finite_values():
         for other in (-0.318, 0.0):
             for values in ({"det": bad, "product": other}, {"det": other, "product": bad}):
                 assert check_exact_agreement(one_row(values)), values
-
-
-def test_unwritable_out_rejected_up_front(capsys, monkeypatch, tmp_path):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
-    for module, name in ((exact, "correlator_sweep"), (exact, "correlator_det_sweep"), (ed, "ed_correlator_sweep"),
-                         (amplitude, "asymptotic_params"), (amplitude, "amplitude_report"), (exact, "correlator")):
-        monkeypatch.setattr(module, name, no_work)
-    commands = (["correlator", "--L", "10", "--x-max", "9"], ["constants"], ["finite-size", "--L-list", "258"])
-    for target in (tmp_path / "missing" / "t.csv", tmp_path):
-        for argv in commands:
-            code, out, err = run(argv + ["--out", str(target)], capsys)
-            assert code == 2
-            assert "error:" in err and "--out" in err
-            assert out == ""
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_existing_writable_out_accepted(capsys, tmp_path):
@@ -298,18 +323,6 @@ def test_constants_even_n_fit_runs(capsys):
     assert json.loads(out)["meta"]["n_fit"] == 1002
 
 
-def test_constants_sizes_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args, **kwargs):
-        raise AssertionError("the report was computed")
-
-    monkeypatch.setattr(amplitude, "amplitude_report", no_work)
-    for flag in ("--n-fit", "--x-fit-max"):
-        code, out, err = run(["constants", flag, str(MAX_RING_LENGTH + 1)], capsys)
-        assert code == 2
-        assert flag in err and str(MAX_RING_LENGTH) in err
-        assert out == ""
-
-
 def test_constants_default_run(capsys):
     code, out, err = run(["constants", "--format", "json"], capsys)
     assert code == 0
@@ -365,18 +378,6 @@ def test_finite_size_bad_list(capsys):
     assert code == 2
 
 
-def test_finite_size_length_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a row was computed")
-
-    monkeypatch.setattr(exact, "correlator", no_work)
-    monkeypatch.setattr(amplitude, "asymptotic_params", no_work)
-    code, out, err = run(["finite-size", "--L-list", "258,1000000000"], capsys)
-    assert code == 2
-    assert str(MAX_RING_LENGTH) in err
-    assert out == ""
-
-
 @pytest.mark.parametrize("lengths, smallest", [("0", 0), ("-5", -5), ("62,0,-3", -3), ("-1000000000", -10**9)])
 def test_finite_size_non_positive_length_fenced_up_front(capsys, monkeypatch, lengths, smallest):
     def no_work(*args):
@@ -388,32 +389,6 @@ def test_finite_size_non_positive_length_fenced_up_front(capsys, monkeypatch, le
     assert "usage: xxchain finite-size [-h]" in err
     assert err.splitlines()[-1] == f"xxchain finite-size: error: --L-list entries must be >= 1, got {smallest}"
     assert out == ""
-
-
-def test_correlator_det_x_max_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("the sweep started")
-
-    monkeypatch.setattr(exact, "correlator_det_sweep", no_work)
-    code, out, err = run(["correlator", "--L", "inf", "--x-max", "4097", "--routes", "det"], capsys)
-    assert code == 2
-    assert "4096" in err
-    assert out == ""
-
-
-def test_correlator_x_max_fenced_up_front(capsys, monkeypatch):
-    def no_work(*args):
-        raise AssertionError("a column was computed")
-
-    for module, name in ((exact, "correlator_sweep"), (exact, "correlator_det_sweep"), (ed, "ed_correlator_sweep"),
-                         (amplitude, "asymptotic_params")):
-        monkeypatch.setattr(module, name, no_work)
-    for L in ("inf", str(_next_admissible(MAX_RING_LENGTH + 2))):
-        argv = ["correlator", "--L", L, "--x-max", str(MAX_RING_LENGTH + 1), "--routes", "product,asym"]
-        code, out, err = run(argv, capsys)
-        assert code == 2
-        assert str(MAX_RING_LENGTH) in err
-        assert out == ""
 
 
 def _no_det_route(monkeypatch):
@@ -503,18 +478,6 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.split() == ["True"], done.stdout + done.stderr
 
 
-def _assert_exits_without(argv, modules=("scipy",), code=0):
-    """Run ``main(argv)`` in a fresh interpreter: it must end with ``code``, returned or raised as
-    ``SystemExit`` (as ``--version`` and usage errors do), and leave ``modules`` unimported."""
-    probe = ("import contextlib, io, sys; from xxchain.cli import main\n"
-             "with contextlib.redirect_stdout(io.StringIO()):\n"
-             f"    try:\n        code = main({argv!r})\n"
-             "    except SystemExit as exc:\n        code = exc.code\n"
-             f"print(code, *sorted(set({modules!r}) & set(sys.modules)))")
-    done = _fresh(probe)
-    assert done.stdout.split() == [str(code)], done.stdout + done.stderr
-
-
 @pytest.mark.parametrize("caller", [None, "2"])
 def test_cli_pins_one_blas_thread_unless_the_caller_sets_one(caller):
     # read from the loaded OpenBLAS itself; it caps the count at the cores this process may use
@@ -529,19 +492,17 @@ def test_cli_pins_one_blas_thread_unless_the_caller_sets_one(caller):
     assert done.stdout.split() == [str(expected)]
 
 
-def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
-    _assert_exits_without(["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
-                           "--out", str(tmp_path / "table.csv")])
-
-
-def test_constants_leaves_scipy_unloaded(tmp_path):
-    _assert_exits_without(["constants", "--out", str(tmp_path / "constants.csv")])
-
-
-def test_ed_column_leaves_scipy_unloaded(tmp_path):
-    # and numpy.random: the start vector of the k = pi Lanczos is an integer hash
-    _assert_exits_without(["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product",
-                           "--out", str(tmp_path / "table.csv")], ("scipy", "numpy.random"))
+def _assert_exits_without(argv, modules=(), code=0):
+    """Run ``main(argv)`` in a fresh interpreter: it must end with ``code``, returned or raised as
+    ``SystemExit`` (as ``--version`` and usage errors do), and leave ``modules`` unimported, and scipy,
+    a test dependency."""
+    probe = ("import contextlib, io, sys; from xxchain.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    try:\n        code = main({argv!r})\n"
+             "    except SystemExit as exc:\n        code = exc.code\n"
+             f"print(code, *sorted({{'scipy', *{modules!r}}} & set(sys.modules)))")
+    done = _fresh(probe)
+    assert done.stdout.split() == [str(code)], done.stdout + done.stderr
 
 
 # every module a command loads only once a handler is past its checks
@@ -556,9 +517,21 @@ _LATE = tuple(f"xxchain.{name}" for name in xxchain._SUBMODULES if name not in (
      ("xxchain.ed", "xxchain.amplitude", "xxchain.special", "xxchain.asymptotics", "json"), 0),
     (["constants", "--out", os.devnull], ("xxchain.ed", "json"), 0),
     (["finite-size", "--L-list", "62,1202", "--out", os.devnull], ("xxchain.ed", "json"), 0),
-], ids=["version", "usage-error", "det-product", "constants", "finite-size"])
+    # and numpy.random: the start vector of the Lanczos is an integer hash
+    (["correlator", "--L", "18", "--x-max", "17", "--routes", "ed,det,product", "--out", os.devnull],
+     ("numpy.random", "xxchain.amplitude", "xxchain.special", "xxchain.asymptotics", "json"), 0),
+], ids=["version", "usage-error", "det-product", "constants", "finite-size", "ed-oracle"])
 def test_each_command_loads_only_the_modules_its_routes_run(argv, modules, code):
     _assert_exits_without(argv, modules, code)
+
+
+def test_det_and_product_columns_leave_scipy_unloaded(tmp_path):
+    _assert_exits_without(["correlator", "--L", "1202", "--x-max", "450", "--routes", "det,product",
+                           "--out", str(tmp_path / "table.csv")])
+
+
+def test_constants_leaves_scipy_unloaded(tmp_path):
+    _assert_exits_without(["constants", "--out", str(tmp_path / "constants.csv")])
 
 
 def test_even_m_rings_and_the_gap_leave_scipy_unloaded():

@@ -3,23 +3,19 @@
 Routes are trusted because independent ones agree, so no route may run the route it is checked against.
 """
 
-import cProfile
 import functools
-import sys
-from pathlib import Path
 
 import pytest
 
-from xxchain import amplitude as amp, asymptotics as asy, ed, errors, exact, greens, special as sp
+from refs import GUARDS, code_of, names, ran
+from xxchain import amplitude as amp, asymptotics as asy, ed, exact, greens, special as sp
 
-GUARDS = {errors.check_int, errors.check_ring_length, greens.LatticeSpec.is_finite.fget,
-          *(fn for name, fn in vars(exact).items() if name.startswith("_check_"))}
 KERNEL, FACTORS = {exact._wick_kernel}, {exact._log_factors, exact._neg_log1m, exact._sine_grid}
-DENSE, BERNOULLI = {exact._kernel_toeplitz, *KERNEL}, {sp.bernoulli_numbers, sp.bernoulli_rationals}
+DENSE = {exact._kernel_toeplitz, *KERNEL}
+BERNOULLI = {sp.bernoulli_numbers, sp._rounded_bernoulli, sp.bernoulli_rationals}
 SERIES = {amp.log_r_series, amp._first_term, amp._richardson_limit, sp.polygamma, sp._polygamma_asym, *BERNOULLI}
-SOLVE = {ed._cached_per_length, ed._check_length, ed.spin_sector, ed.SpinSector.index, ed._orbits, ed._apply,
-         ed._start_vector, ed._momentum_hamiltonian, ed._momentum_level, ed._lowest_level, ed._lanczos,
-         ed._lowest_ritz_pair, ed._pair_values}
+SOLVE = {ed.spin_sector, ed.SpinSector.index, ed._orbits, ed._apply, ed._start_vector, ed._momentum_hamiltonian,
+         ed._momentum_level, ed._lowest_level, ed._lanczos, ed._lowest_ritz_pair, ed._pair_values}
 BOTH, N = (greens.LatticeSpec(62), greens.INFINITE), amp.N_FIT
 ROUTES = {  # route: (what it may run besides GUARDS, its calls)
     "det sweep": ({exact.correlator_det_sweep, *KERNEL}, lambda: [exact.correlator_det_sweep(61, a) for a in BOTH]),
@@ -32,8 +28,8 @@ ROUTES = {  # route: (what it may run besides GUARDS, its calls)
     "ED": ({ed.ed_correlator_sweep, ed.ed_spectral_gap, *SOLVE},  # k = 0 at L = 8, k = pi at L = 10
            lambda: [(ed.ed_correlator_sweep(L, L - 1), ed.ed_spectral_gap(L)) for L in (8, 10)]),
     "ED by site": ({ed.ed_correlator_by_site, ed.ed_ground_state, *SOLVE}, lambda: ed.ed_correlator_by_site(10, 3)),
-    "asym": ({amp.asymptotic_params, amp._c0, asy.AsymptoticParams.__post_init__, asy.asym_infinite, asy.asym_finite,
-              *SERIES}, lambda: (p := amp.asymptotic_params(), asy.asym_infinite(5, p), asy.asym_finite(5, 62, p))),
+    "asym": ({amp.asymptotic_params, amp._c0, asy.asym_infinite, asy.asym_finite, *SERIES},
+             lambda: (p := amp.asymptotic_params(), asy.asym_infinite(5, p), asy.asym_finite(5, 62, p))),
     "series": (SERIES, lambda: amp._richardson_limit(amp.log_r_series, N)),
     "integral": ({amp.lukyanov_integral, amp._integrand}, amp.lukyanov_integral),
     "gamma product": ({amp.log_r_gamma_product, amp._gamma_series, amp._richardson_limit, sp.bernoulli_rationals},
@@ -57,22 +53,12 @@ PAIRS = {  # "route & route": what the two may share besides GUARDS
 
 
 @functools.cache
-def ran(route: str) -> frozenset:
-    """The package code objects that a route's calls run, from cold caches."""
-    for obj in [obj for name, m in sys.modules.items() if name.startswith("xxchain.") for obj in vars(m).values()]:
-        getattr(obj, "cache_clear", lambda: None)()
-    with cProfile.Profile() as profile:
-        ROUTES[route][1]()
-    package = str(Path(exact.__file__).parent)
-    return frozenset(s.code for s in profile.getstats() if getattr(s.code, "co_filename", "").startswith(package))
+def route_ran(route: str) -> frozenset:
+    return ran(ROUTES[route][1])
 
 
 @pytest.mark.parametrize("case", [*ROUTES, *PAIRS])
 def test_routes_run_and_share_only_what_the_map_declares(case):
-    codes = frozenset.intersection(*map(ran, case.split(" & ")))
+    codes = frozenset.intersection(*map(route_ran, case.split(" & ")))
     declared = PAIRS[case] if case in PAIRS else ROUTES[case][0]
-    todo = [getattr(fn, "__wrapped__", fn).__code__ for fn in declared | GUARDS]
-    while todo:  # take out the declared code and the code nested in it: lambdas, comprehensions, local helpers
-        codes -= {code := todo.pop()}
-        todo += [c for c in code.co_consts if isinstance(c, type(code))]
-    assert sorted(f"{Path(c.co_filename).stem}.{getattr(c, 'co_qualname', c.co_name)}" for c in codes) == []
+    assert names(codes - code_of(declared | GUARDS)) == []
